@@ -38,7 +38,8 @@ def bench_kernels(repeat: int) -> None:
     rng = np.random.default_rng(7)
     rows = []
     for label, out_rows, inner in (("parity (2x3)", 2, 3), ("decode (3x3)", 3, 3)):
-        for width in (1024, 32 * 1024, 1024 * 1024 // 3):
+        # 43,691 B: a 128 KiB value split three ways, an odd width
+        for width in (1024, 32 * 1024, 43691, 1024 * 1024 // 3):
             m = rng.integers(1, 256, size=(out_rows, inner), dtype=np.uint8)
             s = rng.integers(0, 256, size=(inner, width), dtype=np.uint8)
             mb = out_rows * inner * width / 1e6

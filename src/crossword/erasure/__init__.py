@@ -83,6 +83,23 @@ def _parity_matrix(scheme: CodingScheme) -> np.ndarray:
     return _PARITY_CACHE[key]
 
 
+_DECODE_CACHE: dict[tuple[int, tuple[int, ...], tuple[int, ...]], np.ndarray] = {}
+
+
+def _decode_rows(d: int, use: tuple[int, ...], missing: tuple[int, ...]) -> np.ndarray:
+    """Rows of the inverse of the generator rows `use` that rebuild the
+    `missing` data shards, computed once per shard pattern. The cached array
+    is read-only because every later reconstruct with that pattern shares it."""
+    key = (d, use, missing)
+    coeffs = _DECODE_CACHE.get(key)
+    if coeffs is None:
+        inv = gf_matinv([generator_row(d, i) for i in use])
+        coeffs = np.array([inv[i] for i in missing], dtype=np.uint8)
+        coeffs.flags.writeable = False
+        _DECODE_CACHE[key] = coeffs
+    return coeffs
+
+
 def encode(payload: bytes, scheme: CodingScheme) -> Codeword:
     """Split payload into d stripes of ceil(len/d) bytes (zero-padded) and
     append p parity shards. Shards 0..d-1 concatenated equal the padded
@@ -129,10 +146,7 @@ def reconstruct(present: dict[int, bytes], scheme: CodingScheme, payload_len: in
         return padded[:payload_len]
 
     use = (data_idx + [i for i in chosen if i >= scheme.d])[: scheme.d]
-    mat = [generator_row(scheme.d, i) for i in use]
-    inv = gf_matinv(mat)
-    # only the rows of the inverse for missing data indices are applied
-    coeffs = np.array([inv[i] for i in missing], dtype=np.uint8)
+    coeffs = _decode_rows(scheme.d, tuple(use), tuple(missing))
     stacked = np.frombuffer(b"".join(present[i] for i in use), dtype=np.uint8)
     stacked = stacked.reshape(scheme.d, slen) if slen else stacked.reshape(scheme.d, 0)
     recovered = gf_matmul(coeffs, stacked)
@@ -158,5 +172,5 @@ def encode_shard(payload: bytes, scheme: CodingScheme, index: int) -> bytes:
     data = np.zeros((scheme.d, slen), dtype=np.uint8)
     if slen:
         data.reshape(-1)[: len(payload)] = np.frombuffer(payload, dtype=np.uint8)
-    row = np.array([generator_row(scheme.d, index)], dtype=np.uint8)
-    return gf_matmul(row, data)[0].tobytes()
+    row = index - scheme.d
+    return gf_matmul(_parity_matrix(scheme)[row : row + 1], data)[0].tobytes()

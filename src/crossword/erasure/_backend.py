@@ -1,7 +1,9 @@
 """Kernel selection: compiled extension if importable, numpy fallback otherwise.
 
-Set CROSSWORD_PURE_KERNEL=1 to force the fallback (used by the benchmark and
-by tests that compare the two paths).
+Set CROSSWORD_PURE_KERNEL=1 to make encode and reconstruct use the fallback
+even when the extension is built, for example to time both with
+benchmarks/bench_gf.py. Neither perfbench nor the tests set it: the tests call
+matmul_python and matmul_compiled directly.
 """
 
 from __future__ import annotations

@@ -1,7 +1,7 @@
 """Replica state machine, message wire formats, and state hashing."""
 
-from .hashing import fnv1a64, state_hash
+from .hashing import state_hash
 from .replica import Replica, ReplicaConfig
 from . import wire
 
-__all__ = ["Replica", "ReplicaConfig", "fnv1a64", "state_hash", "wire"]
+__all__ = ["Replica", "ReplicaConfig", "state_hash", "wire"]

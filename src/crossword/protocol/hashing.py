@@ -1,29 +1,26 @@
-"""64-bit FNV-1a hashing and the canonical replica-state digest."""
+"""The canonical replica-state digest."""
 
 from __future__ import annotations
 
-__all__ = ["fnv1a64", "state_hash"]
+import hashlib
 
-_FNV_OFFSET = 0xCBF29CE484222325
-_FNV_PRIME = 0x100000001B3
+__all__ = ["state_hash"]
+
 _MASK = 0xFFFFFFFFFFFFFFFF
 
 
-def fnv1a64(data: bytes, h: int = _FNV_OFFSET) -> int:
-    for byte in data:
-        h = ((h ^ byte) * _FNV_PRIME) & _MASK
-    return h
-
-
 def state_hash(kv: dict[str, bytes], commit_idx: int, exec_idx: int) -> int:
-    """Digest of (kv, commit_idx, exec_idx) over a canonical ordering: keys
-    sorted, every field length-prefixed, indices big-endian u64."""
-    h = _FNV_OFFSET
+    """64-bit BLAKE2b digest of (kv, commit_idx, exec_idx) over a canonical
+    encoding: keys sorted, every field length-prefixed, indices big-endian
+    u64."""
+    h = hashlib.blake2b(digest_size=8)
     for key in sorted(kv):
         kb = key.encode()
-        h = fnv1a64(len(kb).to_bytes(4, "big") + kb, h)
+        h.update(len(kb).to_bytes(4, "big"))
+        h.update(kb)
         vb = kv[key]
-        h = fnv1a64(len(vb).to_bytes(4, "big") + vb, h)
-    h = fnv1a64((commit_idx & _MASK).to_bytes(8, "big"), h)
-    h = fnv1a64((exec_idx & _MASK).to_bytes(8, "big"), h)
-    return h
+        h.update(len(vb).to_bytes(4, "big"))
+        h.update(vb)
+    h.update((commit_idx & _MASK).to_bytes(8, "big"))
+    h.update((exec_idx & _MASK).to_bytes(8, "big"))
+    return int.from_bytes(h.digest(), "big")

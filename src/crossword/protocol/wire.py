@@ -462,25 +462,32 @@ _TYPES = [
 _TAG = {cls: i + 1 for i, cls in enumerate(_TYPES)}
 
 
-def encode(msg) -> bytes:
+_HEAD = struct.Struct("!IBH")  # total length, type tag, sender
+
+
+def _body_parts(msg) -> list[bytes]:
     w = _Writer()
     msg._body(w)
-    body = b"".join(w.parts)
-    head = struct.pack("!IBH", 4 + 1 + 2 + len(body), _TAG[type(msg)], msg.sender)
-    return head + body
+    return w.parts
+
+
+def encode(msg) -> bytes:
+    parts = _body_parts(msg)
+    total = _HEAD.size + sum(map(len, parts))
+    return b"".join([_HEAD.pack(total, _TAG[type(msg)], msg.sender), *parts])
 
 
 def decode(buf: bytes, off: int = 0):
     """Returns (message, next offset). Raises MalformedMessageError on bad
     input."""
-    if len(buf) - off < 7:
+    if len(buf) - off < _HEAD.size:
         raise MalformedMessageError("short envelope")
-    total, tag, sender = struct.unpack_from("!IBH", buf, off)
+    total, tag, sender = _HEAD.unpack_from(buf, off)
     if off + total > len(buf):
         raise MalformedMessageError("length prefix past end of buffer")
     if not 1 <= tag <= len(_TYPES):
         raise MalformedMessageError(f"unknown type tag {tag}")
-    r = _Reader(buf, off + 7)
+    r = _Reader(buf, off + _HEAD.size)
     msg = _TYPES[tag - 1]._parse(sender, r)
     if r.off != off + total:
         raise MalformedMessageError("body length mismatch")
@@ -488,9 +495,11 @@ def decode(buf: bytes, off: int = 0):
 
 
 def wire_size(msg) -> int:
+    """len(encode(msg)), from the lengths of the same parts without joining
+    them."""
     cached = getattr(msg, "_wire_cache", None)
     if cached is None:
-        cached = len(encode(msg))
+        cached = _HEAD.size + sum(map(len, _body_parts(msg)))
         msg._wire_cache = cached
     return cached
 

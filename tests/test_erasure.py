@@ -132,6 +132,52 @@ def test_encode_shard_matches_full_encode():
         assert encode_shard(payload, s, i) == cw.shards[i]
 
 
+def matmul_reference(m: np.ndarray, s: np.ndarray) -> list[bytes]:
+    """Scalar GF(256) product, one bytes object per output row: each shard
+    byte goes through a peasant_mul table, and rows are XORed as integers."""
+    width = s.shape[1]
+    rows = []
+    for coefs in m.tolist():
+        acc = 0
+        for coef, shard in zip(coefs, s):
+            table = bytes(peasant_mul(coef, b) for b in range(256))
+            acc ^= int.from_bytes(shard.tobytes().translate(table), "big")
+        rows.append(acc.to_bytes(width, "big"))
+    return rows
+
+
+@pytest.mark.parametrize("kernel", [erasure.gf_matmul, matmul_python], ids=["active", "python"])
+@pytest.mark.parametrize("width", [0, 1, 2, 63, 64, 65, 342, 43691])
+def test_kernel_matches_scalar_reference(kernel, width):
+    rng = np.random.default_rng(width)
+    for r, k in ((1, 1), (2, 3), (3, 3), (2, 5)):
+        m = rng.integers(0, 256, size=(r, k), dtype=np.uint8)
+        m[0, 0] = 0
+        if k == 5:
+            m[1] = 0  # an all-zero row
+        # read-only, as reconstruct passes it; with an odd width, rows 1..k-1
+        # start at odd offsets
+        blob = rng.integers(0, 256, size=k * width, dtype=np.uint8).tobytes()
+        s = np.frombuffer(blob, dtype=np.uint8).reshape(k, width)
+        got = kernel(m, s)
+        assert got.shape == (r, width)
+        assert [got[i].tobytes() for i in range(r)] == matmul_reference(m, s)
+
+
+def test_decode_cache_cold_and_warm_agree():
+    s = CodingScheme(5, 3)
+    payload = random.Random(17).randbytes(131072)
+    cw = encode(payload, s)
+    subsets = list(itertools.combinations(range(5), 3))
+    erasure._DECODE_CACHE.clear()
+    cold = [reconstruct({i: cw.shards[i] for i in sub}, s, len(payload)) for sub in subsets]
+    # one entry per subset that lacks a data shard: all but (0, 1, 2)
+    assert len(erasure._DECODE_CACHE) == len(subsets) - 1
+    warm = [reconstruct({i: cw.shards[i] for i in sub}, s, len(payload)) for sub in subsets]
+    assert cold == warm == [payload] * len(subsets)
+    assert not any(c.flags.writeable for c in erasure._DECODE_CACHE.values())
+
+
 @pytest.mark.skipif(erasure.BACKEND != "compiled", reason="extension not built")
 def test_backends_agree():
     rng = np.random.default_rng(5)
