@@ -8,6 +8,7 @@ possibly wider coding scheme.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .erasure import CodingScheme
 
@@ -111,7 +112,10 @@ def encode_bitmap(policy: AssignmentPolicy) -> bytes:
     return bytes(out)
 
 
+@lru_cache(maxsize=256)
 def decode_bitmap(data: bytes, n_servers: int, n_shards: int) -> AssignmentPolicy:
+    """Inverse of encode_bitmap. Memoized: a cluster sends only a handful of
+    distinct bitmaps, and the returned policy is frozen, so it is shared."""
     row_bytes = (n_shards + 7) // 8
     if len(data) != n_servers * row_bytes:
         raise MalformedBitmapError(

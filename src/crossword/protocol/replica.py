@@ -157,6 +157,52 @@ def decode_batch(payload: bytes) -> list[wire.Command]:
     return [wire.Command._parse(r) for _ in range(r.u16())]
 
 
+class _SlotSums:
+    """Fenwick (binary indexed) tree over one non-negative count per slot:
+    point updates, prefix sums and the prefix search each take O(log slots).
+    The capacity is a power of two and doubles on demand."""
+
+    def __init__(self):
+        self.size = 1024
+        self._tree = [0] * (self.size + 1)  # 1-based; node i covers (i - lowbit(i), i]
+
+    def add(self, slot: int, delta: int) -> None:
+        i = slot + 1
+        while i > self.size:
+            # the new upper half is all zeros, so of its nodes only the new
+            # root, which covers everything, is nonzero
+            self._tree.extend([0] * self.size)
+            self._tree[2 * self.size] = self._tree[self.size]
+            self.size *= 2
+        tree, size = self._tree, self.size
+        while i <= size:
+            tree[i] += delta
+            i += i & -i
+
+    def prefix(self, slot: int) -> int:
+        """Sum over slots [0, slot]."""
+        tree = self._tree
+        i = min(slot + 1, self.size)
+        total = 0
+        while i > 0:
+            total += tree[i]
+            i &= i - 1
+        return total
+
+    def count_below(self, bound: int) -> int:
+        """The largest k such that the sum over slots [0, k) is < bound."""
+        tree, size = self._tree, self.size
+        pos = 0
+        step = size
+        while step:
+            nxt = pos + step
+            if nxt <= size and tree[nxt] < bound:
+                pos = nxt
+                bound -= tree[nxt]
+            step >>= 1
+        return pos
+
+
 class Replica:
     def __init__(self, env, cfg: ReplicaConfig, rid: int, trace: Callable | None = None):
         self.env = env
@@ -186,6 +232,7 @@ class Replica:
         self.versions: dict[str, int] = {}
         self.sessions: dict[int, tuple[int, wire.ReplyEntry]] = {}
         self.max_slot = -1
+        self._lens = _SlotSums()  # payload_len of every slot in the log
         self._staged: dict[tuple, wire.Accept] = {}
         self._pending_self: dict[tuple[int, int], dict[int, bytes]] = {}
         self._election_gen = 0
@@ -206,7 +253,8 @@ class Replica:
         # gossip volatile
         self.partial_queue: set[int] = set()
         self._cycle = 0
-        self._outstanding: dict[tuple[int, int], tuple[frozenset[int], int]] = {}
+        # unanswered shard asks: slot -> {peer: (shard indices, cycle asked)}
+        self._outstanding: dict[int, dict[int, tuple[frozenset[int], int]]] = {}
 
         self._arm_election(initial=True)
         self._arm_gossip()
@@ -466,7 +514,9 @@ class Replica:
         for e in entries:
             if e.commit_ballot:
                 inst.commit_ballot = max(inst.commit_ballot, e.commit_ballot)
-            self._absorb_remote_shards(inst, e.vid, e.n_shards, e.d, e.payload_len, e.shards)
+            self._absorb_remote_shards(
+                slot, inst, e.vid, e.n_shards, e.d, e.payload_len, e.shards
+            )
             if e.bitmap and inst.assignment is None and e.n_shards == (
                 inst.scheme.n_shards if inst.scheme else 0
             ):
@@ -475,6 +525,7 @@ class Replica:
 
     def _absorb_remote_shards(
         self,
+        slot: int,
         inst: Instance,
         vid: int,
         n_shards: int,
@@ -497,7 +548,7 @@ class Replica:
             if inst.scheme is None or (inst.scheme.n_shards, inst.scheme.d) != (n_shards, d):
                 inst.gossip_shards.clear()
             inst.scheme = CodingScheme(n_shards, d)
-            inst.payload_len = payload_len
+            self._set_payload_len(slot, inst, payload_len)
             inst.scheme_vid = vid
         if (
             matched
@@ -714,7 +765,7 @@ class Replica:
         ):
             inst.gossip_shards.clear()  # pooled under a different codeword layout
         inst.scheme = scheme
-        inst.payload_len = len(payload)
+        self._set_payload_len(slot, inst, len(payload))
         inst.scheme_vid = vid
         inst.value_id = vid
         inst.assignment = policy
@@ -815,7 +866,7 @@ class Replica:
             inst.kind = m.kind
             inst.q, inst.c = m.q, m.c
             inst.scheme = scheme
-            inst.payload_len = m.payload_len
+            self._set_payload_len(m.slot, inst, m.payload_len)
             inst.scheme_vid = m.vid
             inst.assignment = decode_bitmap(m.bitmap, self.n, m.n_shards) if m.bitmap else None
             if m.kind == wire.KIND_VERBATIM:
@@ -944,33 +995,49 @@ class Replica:
         self.snap_sessions = dict(self.sessions)
         for slot in [s for s in self.log if s < self.snap_end]:
             if self.log[slot].status == Status.EXECUTED:
-                del self.log[slot]
+                self._lens.add(slot, -self.log.pop(slot).payload_len)
         self.trace("snapshot", self.id, self.snap_end)
 
     # -------------------------------------------------------------- gossip
 
+    def _set_payload_len(self, slot: int, inst: Instance, payload_len: int) -> None:
+        self._lens.add(slot, payload_len - inst.payload_len)
+        inst.payload_len = payload_len
+
     def _deferral_boundary(self) -> int:
-        """Largest slot old enough to gossip about: summing payload sizes
-        from the newest slot backwards, the first slot that pushes the total
-        past the deferral gap (and everything older) is eligible."""
-        acc = 0
-        slot = self.max_slot
-        while slot >= 0:
-            inst = self.log.get(slot)
-            if inst is not None:
+        """Largest slot old enough to gossip about, or -1; every slot at or
+        below it is eligible. It is the larger of two slots:
+
+        - the largest s whose slots [s, max_slot] carry more than
+          deferral_bytes of payload. `_lens` holds every slot's payload_len
+          in a Fenwick tree, so this is one prefix sum and one prefix search,
+          O(log slots);
+        - the largest slot that is committed but that no accept ever
+          reached (no scheme, not yet decoded): nothing is in flight for it,
+          so the gap has nothing to protect. Every such slot is in
+          partial_queue, because each path that marks a slot committed ends
+          in _try_promote or _note_partial, which queue it while it is not
+          decoded; so a scan of the queue finds it.
+
+        No other slot is read, so a call costs O(|partial_queue| + log
+        slots) however long the log is."""
+        top = self.max_slot
+        boundary = -1
+        for slot in self.partial_queue:
+            if boundary < slot <= top:
+                inst = self.log.get(slot)
                 if (
-                    inst.committed
+                    inst is not None
+                    and inst.committed
                     and inst.scheme is None
                     and inst.status < Status.COMMITTED_KNOWN
                 ):
-                    # committed but no accept ever reached us: nothing is in
-                    # flight for this slot, so the gap has nothing to protect
-                    return slot
-                acc += inst.payload_len
-            if acc > self.cfg.deferral_bytes:
-                return slot
-            slot -= 1
-        return -1
+                    boundary = slot
+        excess = self._lens.prefix(top) - self.cfg.deferral_bytes
+        if excess > 0:
+            # sum over [s, top] > deferral_bytes <=> sum over [0, s) < excess
+            boundary = max(boundary, self._lens.count_below(excess))
+        return boundary
 
     def _stragglers(self) -> set[int]:
         """Peers sitting on an unanswered shard request. A request older
@@ -979,14 +1046,18 @@ class Replica:
         eligible again (a reply still cancels it at any point)."""
         out = set()
         expired = []
-        for key, (_idxs, cycle) in self._outstanding.items():
-            age = self._cycle - cycle
-            if age >= 2 * self.cfg.straggler_cycles:
-                expired.append(key)
-            elif age >= self.cfg.straggler_cycles:
-                out.add(key[0])
-        for key in expired:
-            del self._outstanding[key]
+        for slot, asks in self._outstanding.items():
+            for peer, (_idxs, cycle) in asks.items():
+                age = self._cycle - cycle
+                if age >= 2 * self.cfg.straggler_cycles:
+                    expired.append((slot, peer))
+                elif age >= self.cfg.straggler_cycles:
+                    out.add(peer)
+        for slot, peer in expired:
+            asks = self._outstanding[slot]
+            del asks[peer]
+            if not asks:
+                del self._outstanding[slot]
         return out
 
     def _gossip_tick(self, now: float) -> None:
@@ -998,28 +1069,26 @@ class Replica:
             return
         boundary = self._deferral_boundary()
         stragglers = self._stragglers()
+        ring = [(self.id + step) % self.n for step in range(1, self.n)]
+        # follower-to-follower first; the leader only as a last resort,
+        # when the others cannot cover the remaining shards
+        candidates = [p for p in ring if p != self.leader_hint and p not in stragglers]
+        candidates += [p for p in ring if p == self.leader_hint and p not in stragglers]
         plan: dict[int, dict[int, set[int]]] = {}
-        for slot in sorted(self.partial_queue):
-            if slot > boundary:
-                continue
+        for slot in sorted(s for s in self.partial_queue if s <= boundary):
             inst = self.log.get(slot)
             if inst is None or not inst.committed or inst.status >= Status.COMMITTED_KNOWN:
                 continue
             scheme = inst.scheme or self.params.scheme
             expected = set(inst.shard_pool())
-            for (peer, oslot), (idxs, _cyc) in self._outstanding.items():
-                if oslot == slot and peer not in stragglers:
-                    expected |= idxs
+            asks = self._outstanding.get(slot)
+            if asks:
+                for peer, (idxs, _cyc) in asks.items():
+                    if peer not in stragglers:
+                        expected |= idxs
             if len(expected) >= scheme.d:
                 continue
-            ring = [(self.id + step) % self.n for step in range(1, self.n)]
-            # follower-to-follower first; the leader only as a last resort,
-            # when the others cannot cover the remaining shards
-            candidates = [p for p in ring if p != self.leader_hint]
-            candidates += [p for p in ring if p == self.leader_hint]
             for peer in candidates:
-                if peer in stragglers:
-                    continue
                 if inst.assignment is not None:
                     avail = set(inst.assignment.shards_of(peer)) - expected
                 else:
@@ -1027,7 +1096,9 @@ class Replica:
                 if not avail:
                     continue
                 plan.setdefault(peer, {}).setdefault(slot, set()).update(avail)
-                self._outstanding[(peer, slot)] = (frozenset(avail), self._cycle)
+                if asks is None:
+                    asks = self._outstanding[slot] = {}
+                asks[peer] = (frozenset(avail), self._cycle)
                 expected |= avail
                 if len(expected) >= scheme.d:
                     break
@@ -1092,7 +1163,11 @@ class Replica:
     def _on_reconstruct_reply(self, src: int, m: wire.ReconstructReply, now: float) -> None:
         changed = False
         for e in m.entries:
-            self._outstanding.pop((src, e.slot), None)
+            asks = self._outstanding.get(e.slot)
+            if asks is not None:
+                asks.pop(src, None)
+                if not asks:
+                    del self._outstanding[e.slot]
             if not e.has_data:
                 continue
             if self.role == LEADER:
@@ -1110,7 +1185,9 @@ class Replica:
                     inst.commit_vid = e.vid
                 elif e.commit_ballot and e.accepted_ballot >= e.commit_ballot:
                     inst.commit_vid = e.vid
-            self._absorb_remote_shards(inst, e.vid, e.n_shards, e.d, e.payload_len, e.shards)
+            self._absorb_remote_shards(
+                e.slot, inst, e.vid, e.n_shards, e.d, e.payload_len, e.shards
+            )
             self._try_promote(e.slot, inst, now)
             changed = True
         if changed:

@@ -90,6 +90,20 @@ def test_bitmap_wrong_length_rejected():
         decode_bitmap(bytes([0b10010000, 0, 0]), 3, 3)  # stray bit past width
 
 
+def test_bitmap_decode_memo_raises_every_time():
+    # decode_bitmap is memoized; a rejected bitmap must not be remembered
+    # as accepted, and an accepted one comes back as the same frozen policy
+    stray = bytes([0b10010000, 0, 0])
+    for _ in range(2):
+        with pytest.raises(MalformedBitmapError):
+            decode_bitmap(stray, 3, 3)
+    raw = encode_bitmap(balanced_rr(ClusterParams.for_cluster(5), 2))
+    assert decode_bitmap(raw, 5, 5) is decode_bitmap(bytes(raw), 5, 5)
+    for _ in range(2):
+        with pytest.raises(MalformedBitmapError):
+            decode_bitmap(raw, 5, 4)
+
+
 @given(
     n=st.sampled_from([3, 5, 7, 9]),
     data=st.data(),

@@ -1,10 +1,13 @@
 """State-machine tests: commit flow, gossip repair, takeover recovery,
-dedup, snapshots, and the negative durability case for single-shard mode."""
+dedup, snapshots, and the negative durability case for single-shard mode;
+then one follower driven message by message, for the deferral boundary and
+the outstanding shard asks of its gossip tick."""
 
 import pytest
 
+from crossword.assignment import ClusterParams, balanced_rr, encode_bitmap
 from crossword.erasure import CodingScheme, encode
-from crossword.protocol import wire
+from crossword.protocol import Replica, ReplicaConfig, wire
 from crossword.protocol.replica import (
     LEADER,
     Status,
@@ -265,3 +268,264 @@ def test_partitioned_follower_catches_up_after_heal():
     assert lead.id == 0  # majority side kept the leader stable
     assert replicas[2].exec_idx == lead.exec_idx == 8
     assert len({r.state_digest() for r in replicas}) == 1
+
+
+# ------------------------------------------------ one follower, driven by hand
+
+BALLOT = 5  # leader 0's first ballot at n = 5
+
+
+class ScriptEnv:
+    """A node handle that records what the replica sends and fires nothing:
+    the test delivers every message, persist completion and timer itself."""
+
+    def __init__(self):
+        self.sent = []
+
+    def send(self, dst, msg):
+        self.sent.append((dst, msg))
+
+    def set_timer(self, delay, tag):
+        pass
+
+    def persist(self, nbytes, tag):
+        pass
+
+
+def scripted_follower(rid=2, **cfg):
+    env = ScriptEnv()
+    r = Replica(env, ReplicaConfig(params=ClusterParams.for_cluster(5), **cfg), rid)
+    return r, env
+
+
+def slot_payload(slot, size):
+    return encode_batch([put(f"k{slot}", b"v" * size, 900, slot + 1)])
+
+
+def deliver_accept(r, slot, payload, c, now=1.0):
+    """Leader 0's Accept of `payload` at config c, persisted at once."""
+    scheme = r.params.scheme
+    policy = balanced_rr(r.params, c)
+    cw = encode(payload, scheme)
+    own = {i: cw.shards[i] for i in sorted(policy.shards_of(r.id))}
+    m = wire.Accept(
+        0, slot, BALLOT, wire.KIND_RR, r.n + 1 - c, c, scheme.n_shards, scheme.d,
+        len(payload), value_id(payload), encode_bitmap(policy), own, b"", now,
+    )
+    r.on_message(0, m, now)
+    r.on_persist_done(("ap", slot, BALLOT, 0), now)
+
+
+def deliver_heartbeat(r, commit_idx, now=1.0):
+    r.on_message(0, wire.Heartbeat(0, BALLOT, commit_idx, now), now)
+
+
+def recon_entry(slot, payload, idxs):
+    scheme = CodingScheme(5, 3)
+    cw = encode(payload, scheme)
+    return wire.ReconEntry(
+        slot, True, False, BALLOT, value_id(payload), BALLOT, 5, 3, len(payload),
+        {i: cw.shards[i] for i in idxs},
+    )
+
+
+def no_data(slot):
+    return wire.ReconEntry(slot, False, False, 0, 0, 0, 0, 0, 0, {})
+
+
+def deliver_reply(r, src, entries, now=1.0):
+    r.on_message(src, wire.ReconstructReply(src, entries), now)
+
+
+def gossip_tick(r, env, now=1.0):
+    """Fire one gossip cycle; return the Reconstruct wants it sent, by peer."""
+    env.sent.clear()
+    r.on_timer(("gossip", r._gossip_gen), now)
+    return [(dst, m.wants) for dst, m in env.sent if isinstance(m, wire.Reconstruct)]
+
+
+def walk_boundary(r):
+    """Reference deferral boundary: the backwards walk over the log."""
+    acc = 0
+    slot = r.max_slot
+    while slot >= 0:
+        inst = r.log.get(slot)
+        if inst is not None:
+            if (
+                inst.committed
+                and inst.scheme is None
+                and inst.status < Status.COMMITTED_KNOWN
+            ):
+                return slot
+            acc += inst.payload_len
+        if acc > r.cfg.deferral_bytes:
+            return slot
+        slot -= 1
+    return -1
+
+
+@pytest.mark.parametrize("deferral", [0, 700, 3000, 10**9])
+def test_deferral_boundary_matches_walk(deferral):
+    r, env = scripted_follower(deferral_bytes=deferral, snapshot_stride=8)
+    seen = []
+
+    def check():
+        got = r._deferral_boundary()
+        assert got == walk_boundary(r), f"step {len(seen)}"
+        seen.append(got)
+
+    check()  # empty log
+    sizes = [40, 900, 10, 2500, 300, 1200]
+    payloads = {s: slot_payload(s, size) for s, size in enumerate(sizes)}
+    for slot, payload in payloads.items():
+        deliver_accept(r, slot, payload, c=3 if slot % 2 else 1)
+        check()
+    # commits learned by heartbeat alone: slots 6 and 7 saw no Accept
+    deliver_heartbeat(r, 8)
+    check()
+    assert r.log[7].scheme is None and 7 in r.partial_queue
+    # gossip hands slot 6 its geometry, then slot 0 enough shards to decode
+    payloads[6] = slot_payload(6, 700)
+    deliver_reply(r, 3, [recon_entry(6, payloads[6], [3])])
+    check()
+    deliver_reply(r, 3, [recon_entry(0, payloads[0], [0, 1])])
+    check()
+    # a late Accept of a committed slot, then repair of every partial slot
+    payloads[7] = slot_payload(7, 5)
+    deliver_accept(r, 7, payloads[7], c=1)
+    check()
+    for slot in sorted(r.partial_queue):
+        deliver_reply(r, 4, [recon_entry(slot, payloads[slot], [0, 1, 2, 3, 4])])
+        check()
+    for slot in range(8, 12):
+        payloads[slot] = slot_payload(slot, 100 * slot)
+        deliver_accept(r, slot, payloads[slot], c=3)
+        check()
+    # the repair executed slots 0..7, which the snapshot then truncated
+    assert r.snap_end == 8 and sorted(r.log) == [8, 9, 10, 11]
+    deliver_heartbeat(r, 12)
+    check()
+    assert r.exec_idx == 12
+    # slots past the index's initial capacity, some learned only by heartbeat
+    cap = r._lens.size
+    for slot in range(cap - 2, cap + 3):
+        deliver_accept(r, slot, slot_payload(slot, 60 + slot % 400), c=1 + slot % 3)
+        check()
+    deliver_heartbeat(r, 2 * cap + 5)
+    check()
+    deliver_accept(r, 3 * cap, slot_payload(3 * cap, 333), c=2)
+    check()
+    assert r._lens.size > cap
+    r.on_restart(2.0)
+    check()
+    deliver_accept(r, 3 * cap + 1, slot_payload(3 * cap + 1, 5000), c=3)
+    check()
+    deliver_heartbeat(r, 3 * cap + 1, now=3.0)
+    check()
+    assert len(set(seen)) >= 4  # the boundary really moved
+
+
+def _stalled_follower(straggler_cycles=2):
+    """Follower 2 of n = 5 with four committed slots it cannot decode: slots
+    0-2 accepted at c = 1 (it holds shard 2), slot 3 never accepted."""
+    r, env = scripted_follower(deferral_bytes=0, straggler_cycles=straggler_cycles)
+    payloads = [slot_payload(s, 120) for s in range(4)]
+    for slot in range(3):
+        deliver_accept(r, slot, payloads[slot], c=1)
+    deliver_heartbeat(r, 4)
+    return r, env, payloads
+
+
+def test_outstanding_asks_route_around_then_expire():
+    r, env, _ = _stalled_follower()
+    first = dict(gossip_tick(r, env))
+    # the ring from 2 is 3, 4, 1, with the leader 0 last
+    assert sorted(first) == [3, 4]
+    assert gossip_tick(r, env) == []  # the asks are still outstanding
+    # two silent cycles: 3 and 4 are stragglers, so the asks go to 1 and 0
+    rerouted = dict(gossip_tick(r, env))
+    assert sorted(rerouted) == [0, 1]
+    assert gossip_tick(r, env) == []
+    # four cycles after the first asks they expire, and 3 and 4 are asked
+    # again; the asks to 1 and 0 are two cycles old, so those are stragglers
+    again = dict(gossip_tick(r, env))
+    assert again == first
+
+
+def test_reply_cancels_only_its_own_ask():
+    r, env, payloads = _stalled_follower(straggler_cycles=10)
+    first = dict(gossip_tick(r, env))
+    assert [slot for slot, _ in first[3]] == [0, 1, 2, 3]
+    # peer 3 answers slot 1 with nothing: only its ask for slot 1 is gone
+    deliver_reply(r, 3, [no_data(1)])
+    assert gossip_tick(r, env) == [(3, [(1, frozenset({3}))])]
+    # peer 4 delivers slot 0's missing shard: slot 0 is decoded, and its
+    # other ask (to 3) no longer matters
+    deliver_reply(r, 4, [recon_entry(0, payloads[0], [4])])
+    deliver_reply(r, 3, [recon_entry(0, payloads[0], [3])])
+    assert r.log[0].status >= Status.COMMITTED_KNOWN
+    assert 0 not in r.partial_queue
+    assert gossip_tick(r, env) == []
+
+
+# Reconstruct wants of follower 2 over a scripted series of gossip cycles,
+# recorded before the outstanding-ask index was keyed by slot; any change to
+# them is a change of simulated traffic. Shard sets compare equal to the
+# frozensets the replica sends.
+PINNED_WANTS = [
+    [  # cycle 1
+        (3, [(0, {3}), (1, {3}), (2, {3}), (3, {0, 1, 2, 3, 4}), (4, {4}), (5, {0, 1, 2, 3, 4})]),
+        (4, [(0, {4}), (1, {4}), (2, {4})]),
+    ],
+    [  # cycle 2
+        (3, [(1, {3})]),
+    ],
+    [  # cycle 3
+        (0, [(1, {0}), (2, {0})]),
+        (1, [(0, {1}), (1, {1}), (2, {1}), (3, {0, 1, 2, 3, 4}), (4, {1}), (5, {0, 1, 2, 3, 4})]),
+    ],
+    [],  # cycle 4
+    [  # cycle 5
+        (4, [(0, {4}), (1, {4}), (2, {4}), (3, {0, 1, 2, 3, 4}), (5, {0, 1, 2, 3, 4})]),
+    ],
+    [  # cycle 6
+        (3, [(1, {3}), (2, {3})]),
+    ],
+    [  # cycle 7
+        (1, [(0, {1}), (2, {1})]),
+        (3, [(3, {0, 1, 2, 3, 4}), (5, {0, 1, 2, 3, 4})]),
+    ],
+    [  # cycle 8
+        (0, [(2, {0})]),
+        (1, [(3, {0, 1, 2, 3, 4}), (5, {0, 1, 2, 3, 4})]),
+    ],
+    [  # cycle 9
+        (4, [(0, {4}), (2, {4}), (3, {0, 1, 2, 3, 4}), (5, {0, 1, 2, 3, 4}), (6, {0, 1, 2, 3, 4})]),
+    ],
+    [],  # cycle 10
+    [  # cycle 11
+        (3, [(2, {3}), (3, {0, 1, 2, 3, 4}), (5, {0, 1, 2, 3, 4}), (6, {0, 1, 2, 3, 4})]),
+    ],
+    [  # cycle 12
+        (1, [(0, {1}), (2, {1})]),
+    ],
+]
+
+
+def test_gossip_wants_pinned():
+    r, env, payloads = _stalled_follower()
+    payloads.append(slot_payload(4, 3000))
+    deliver_accept(r, 4, payloads[4], c=2)  # holds shards 2 and 3
+    deliver_heartbeat(r, 6)  # slot 5: committed, never accepted
+    got = []
+    for cycle in range(1, 13):
+        if cycle == 2:
+            deliver_reply(r, 3, [recon_entry(0, payloads[0], [3]), no_data(1)])
+        if cycle == 4:
+            deliver_reply(r, 4, [no_data(2), recon_entry(4, payloads[4], [4])])
+        if cycle == 7:
+            deliver_reply(r, 1, [recon_entry(1, payloads[1], [0, 1])])
+        if cycle == 9:
+            deliver_heartbeat(r, 7)
+        got.append(gossip_tick(r, env))
+    assert got == PINNED_WANTS
