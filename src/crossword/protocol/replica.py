@@ -253,7 +253,7 @@ class Replica:
         # gossip volatile
         self.partial_queue: set[int] = set()
         self._cycle = 0
-        # unanswered shard asks: slot -> {peer: (shard indices, cycle asked)}
+        # unanswered shard asks: slot -> {peer: (shards expected, cycle asked)}
         self._outstanding: dict[int, dict[int, tuple[frozenset[int], int]]] = {}
 
         self._arm_election(initial=True)
@@ -617,8 +617,7 @@ class Replica:
             and inst.commit_vid
             and inst.value_id == inst.commit_vid
         ):
-            inst.status = Status.COMMITTED_KNOWN
-            self.partial_queue.discard(slot)
+            self._mark_known(slot, inst)
             return
         if inst.scheme is None:
             self.partial_queue.add(slot)
@@ -633,11 +632,18 @@ class Replica:
             chosen = {k: pool[k] for k in sorted(pool)[: inst.scheme.d]}
             inst.payload = reconstruct(chosen, inst.scheme, inst.payload_len)
             inst.batch = None
-            inst.status = Status.COMMITTED_KNOWN
-            self.partial_queue.discard(slot)
+            self._mark_known(slot, inst)
             self.trace("promote", self.id, slot, now)
         else:
             self.partial_queue.add(slot)
+
+    def _mark_known(self, slot: int, inst: Instance) -> None:
+        """The value is in hand: the slot leaves the repair queue, and its
+        unanswered shard asks no longer matter, so a slow peer is not made a
+        straggler for them."""
+        inst.status = Status.COMMITTED_KNOWN
+        self.partial_queue.discard(slot)
+        self._outstanding.pop(slot, None)
 
     def _on_heartbeat_reply(self, src: int, m: wire.HeartbeatReply, now: float) -> None:
         if not m.ok:
@@ -833,7 +839,7 @@ class Replica:
         self.role = FOLLOWER
         self.leader_hint = m.ballot % self.n
         self._arm_election()
-        nbytes = sum(len(b) for b in m.shards.values()) + len(m.full_payload)
+        nbytes = m.payload_nbytes()
         key = ("ap", m.slot, m.ballot, src)
         self._staged[key] = m
         self.env.persist(max(nbytes, 1), key)
@@ -1043,7 +1049,8 @@ class Replica:
         """Peers sitting on an unanswered shard request. A request older
         than straggler_cycles routes new asks around its peer; once it is
         twice that old it is written off as lost so the peer becomes
-        eligible again (a reply still cancels it at any point)."""
+        eligible again (a reply, or the slot's promotion, still cancels it
+        at any point)."""
         out = set()
         expired = []
         for slot, asks in self._outstanding.items():
@@ -1070,11 +1077,8 @@ class Replica:
         boundary = self._deferral_boundary()
         stragglers = self._stragglers()
         ring = [(self.id + step) % self.n for step in range(1, self.n)]
-        # follower-to-follower first; the leader only as a last resort,
-        # when the others cannot cover the remaining shards
-        candidates = [p for p in ring if p != self.leader_hint and p not in stragglers]
-        candidates += [p for p in ring if p == self.leader_hint and p not in stragglers]
-        plan: dict[int, dict[int, set[int]]] = {}
+        orders: dict[int, list[int]] = {}  # ring position -> peers to ask, in order
+        plan: dict[int, list[tuple[int, frozenset[int], int]]] = {}
         for slot in sorted(s for s in self.partial_queue if s <= boundary):
             inst = self.log.get(slot)
             if inst is None or not inst.committed or inst.status >= Status.COMMITTED_KNOWN:
@@ -1088,6 +1092,18 @@ class Replica:
                         expected |= idxs
             if len(expected) >= scheme.d:
                 continue
+            # holders unknown (the slot was learned from a heartbeat): any
+            # peer can answer, so each slot starts at its own ring position
+            # and a catch-up burst splits across the peers
+            start = slot % len(ring) if inst.assignment is None else 0
+            candidates = orders.get(start)
+            if candidates is None:
+                walk = ring[start:] + ring[:start]
+                # follower to follower first; the leader only as a last
+                # resort, when the others cannot cover the remaining shards
+                candidates = [p for p in walk if p != self.leader_hint and p not in stragglers]
+                candidates += [p for p in walk if p == self.leader_hint and p not in stragglers]
+                orders[start] = candidates
             for peer in candidates:
                 if inst.assignment is not None:
                     avail = set(inst.assignment.shards_of(peer)) - expected
@@ -1095,15 +1111,17 @@ class Replica:
                     avail = set(range(scheme.n_shards)) - expected
                 if not avail:
                     continue
-                plan.setdefault(peer, {}).setdefault(slot, set()).update(avail)
+                need = scheme.d - len(expected)
+                plan.setdefault(peer, []).append((slot, frozenset(avail), need))
+                # the responder sends the lowest `need` of them that it has
+                sent = frozenset(sorted(avail)[:need])
                 if asks is None:
                     asks = self._outstanding[slot] = {}
-                asks[peer] = (frozenset(avail), self._cycle)
-                expected |= avail
+                asks[peer] = (sent, self._cycle)
+                expected |= sent
                 if len(expected) >= scheme.d:
                     break
-        for peer in sorted(plan):
-            wants = [(slot, frozenset(idxs)) for slot, idxs in sorted(plan[peer].items())]
+        for peer, wants in sorted(plan.items()):
             if self.cfg.gossip_batching:
                 self.env.send(peer, wire.Reconstruct(self.id, wants))
             else:
@@ -1121,7 +1139,10 @@ class Replica:
                 continue
             scheme = inst.scheme or self.params.scheme
             have = frozenset(inst.shard_pool())
-            wants.append((slot, frozenset(range(scheme.n_shards)) - have))
+            # at least one: a slot that holds d shards but waits for the
+            # committed value's geometry still needs a reply carrying it
+            need = max(scheme.d - len(have), 1)
+            wants.append((slot, frozenset(range(scheme.n_shards)) - have, need))
         if not wants:
             return
         for p in self.peers:
@@ -1129,18 +1150,17 @@ class Replica:
 
     def _on_reconstruct(self, src: int, m: wire.Reconstruct, now: float) -> None:
         entries = []
-        for slot, idxs in m.wants:
+        for slot, idxs, need in m.wants:
             inst = self.log.get(slot)
             if inst is None or not inst.committed:
                 entries.append(wire.ReconEntry(slot, False, False, 0, 0, 0, 0, 0, 0, {}))
                 continue
             scheme = inst.scheme or self.params.scheme
             if inst.payload is not None and inst.status >= Status.COMMITTED_KNOWN:
-                shards = {
-                    i: encode_shard(inst.payload, scheme, i)
-                    for i in sorted(idxs)
-                    if i < scheme.n_shards
-                }
+                # lowest indices first: the data stripes, which are slices of
+                # the value and cost no coding to send or to decode
+                picked = sorted(i for i in idxs if i < scheme.n_shards)[:need]
+                shards = {i: encode_shard(inst.payload, scheme, i) for i in picked}
                 entries.append(
                     wire.ReconEntry(
                         slot, True, True, inst.ballot, inst.commit_vid or inst.value_id,
@@ -1148,7 +1168,9 @@ class Replica:
                     )
                 )
             else:
-                held = {i: inst.own_shards[i] for i in sorted(idxs) if i in inst.own_shards}
+                # only raw shards: whichever of the asked ones are here
+                picked = [i for i in sorted(idxs) if i in inst.own_shards][:need]
+                held = {i: inst.own_shards[i] for i in picked}
                 entries.append(
                     wire.ReconEntry(
                         slot, bool(held), False, inst.ballot, inst.value_id,

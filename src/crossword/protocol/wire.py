@@ -145,8 +145,15 @@ class _Reader:
 # --- message bodies ---
 
 
+class _Message:
+    def payload_nbytes(self) -> int:
+        """Application payload bytes inside the message: shard or value
+        content, excluding all framing."""
+        return 0
+
+
 @dataclass
-class Prepare:
+class Prepare(_Message):
     sender: int
     ballot: int
     from_slot: int
@@ -194,7 +201,7 @@ class PrepareEntry:
 
 
 @dataclass
-class PrepareReply:
+class PrepareReply(_Message):
     sender: int
     ballot: int
     ok: bool
@@ -217,9 +224,12 @@ class PrepareReply:
         entries = [PrepareEntry._parse(r) for _ in range(r.u32())]
         return cls(sender, ballot, ok, promised, commit_below, entries)
 
+    def payload_nbytes(self) -> int:
+        return sum(len(b) for e in self.entries for b in e.shards.values())
+
 
 @dataclass
-class Accept:
+class Accept(_Message):
     sender: int
     slot: int
     ballot: int
@@ -257,9 +267,12 @@ class Accept:
             r.u32(), r.u64(), r.blob(), r.shards(), r.blob(), r.f64(),
         )
 
+    def payload_nbytes(self) -> int:
+        return sum(len(b) for b in self.shards.values()) + len(self.full_payload)
+
 
 @dataclass
-class AcceptReply:
+class AcceptReply(_Message):
     sender: int
     slot: int
     ballot: int
@@ -282,7 +295,7 @@ class AcceptReply:
 
 
 @dataclass
-class Heartbeat:
+class Heartbeat(_Message):
     sender: int
     ballot: int
     commit_idx: int  # highest committed slot + 1 (0 = nothing committed)
@@ -299,7 +312,7 @@ class Heartbeat:
 
 
 @dataclass
-class HeartbeatReply:
+class HeartbeatReply(_Message):
     sender: int
     ballot: int
     ok: bool
@@ -318,19 +331,26 @@ class HeartbeatReply:
 
 
 @dataclass
-class Reconstruct:
+class Reconstruct(_Message):
+    """Shard request. Each want is (slot, shard indices, need): the
+    responder returns at most `need` of the listed shards, lowest index
+    first, and a responder holding only raw shards returns those of the
+    listed ones it has. `need` is a u8 after the index set: the asker's d
+    minus the shards it holds or has asked for elsewhere."""
+
     sender: int
-    wants: list[tuple[int, frozenset[int]]]  # (slot, shard indices)
+    wants: list[tuple[int, frozenset[int], int]]
 
     def _body(self, w: _Writer):
         w.u32(len(self.wants))
-        for slot, idxs in self.wants:
+        for slot, idxs, need in self.wants:
             w.u64(slot)
             w.idxset(idxs)
+            w.u8(need)
 
     @classmethod
     def _parse(cls, sender, r: _Reader):
-        return cls(sender, [(r.u64(), r.idxset()) for _ in range(r.u32())])
+        return cls(sender, [(r.u64(), r.idxset(), r.u8()) for _ in range(r.u32())])
 
 
 @dataclass
@@ -368,7 +388,7 @@ class ReconEntry:
 
 
 @dataclass
-class ReconstructReply:
+class ReconstructReply(_Message):
     sender: int
     entries: list[ReconEntry]
 
@@ -380,6 +400,9 @@ class ReconstructReply:
     @classmethod
     def _parse(cls, sender, r: _Reader):
         return cls(sender, [ReconEntry._parse(r) for _ in range(r.u32())])
+
+    def payload_nbytes(self) -> int:
+        return sum(len(b) for e in self.entries for b in e.shards.values())
 
 
 @dataclass
@@ -403,7 +426,7 @@ class Command:
 
 
 @dataclass
-class ClientRequest:
+class ClientRequest(_Message):
     sender: int
     commands: list[Command]
 
@@ -415,6 +438,9 @@ class ClientRequest:
     @classmethod
     def _parse(cls, sender, r: _Reader):
         return cls(sender, [Command._parse(r) for _ in range(r.u16())])
+
+    def payload_nbytes(self) -> int:
+        return sum(len(c.value) for c in self.commands)
 
 
 @dataclass
@@ -438,7 +464,7 @@ class ReplyEntry:
 
 
 @dataclass
-class ClientReply:
+class ClientReply(_Message):
     sender: int
     entries: list[ReplyEntry]
     redirect: int  # suggested leader id; 0xFFFF = no hint
@@ -453,6 +479,9 @@ class ClientReply:
     def _parse(cls, sender, r: _Reader):
         entries = [ReplyEntry._parse(r) for _ in range(r.u16())]
         return cls(sender, entries, r.u16())
+
+    def payload_nbytes(self) -> int:
+        return sum(len(e.value) for e in self.entries)
 
 
 _TYPES = [
@@ -505,22 +534,9 @@ def wire_size(msg) -> int:
 
 
 def payload_nbytes(msg) -> int:
-    """Application payload bytes inside a message: shard or value content,
-    excluding all framing. Used to split link totals into payload vs header
-    traffic."""
-    if isinstance(msg, Accept):
-        return sum(len(b) for b in msg.shards.values()) + len(msg.full_payload)
-    if isinstance(msg, (ReconstructReply,)):
-        return sum(
-            len(b) for e in msg.entries for b in e.shards.values()
-        )
-    if isinstance(msg, PrepareReply):
-        return sum(len(b) for e in msg.entries for b in e.shards.values())
-    if isinstance(msg, ClientRequest):
-        return sum(len(c.value) for c in msg.commands)
-    if isinstance(msg, ClientReply):
-        return sum(len(e.value) for e in msg.entries)
-    return 0
+    """Application payload bytes inside a message (its payload_nbytes());
+    used to split link totals into payload vs header traffic."""
+    return msg.payload_nbytes()
 
 
 NO_REDIRECT = 0xFFFF

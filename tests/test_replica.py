@@ -1,10 +1,11 @@
 """State-machine tests: commit flow, gossip repair, takeover recovery,
 dedup, snapshots, and the negative durability case for single-shard mode;
-then one follower driven message by message, for the deferral boundary and
-the outstanding shard asks of its gossip tick."""
+then one replica driven message by message, for the deferral boundary, the
+outstanding shard asks of its gossip tick and the shards it answers with."""
 
 import pytest
 
+from crossword import erasure
 from crossword.assignment import ClusterParams, balanced_rr, encode_bitmap
 from crossword.erasure import CodingScheme, encode
 from crossword.protocol import Replica, ReplicaConfig, wire
@@ -15,6 +16,7 @@ from crossword.protocol.replica import (
     encode_batch,
     value_id,
 )
+from crossword.simnet import LinkParams
 
 from cluster import RecordingClient, get, leader_of, make_cluster, put
 
@@ -69,10 +71,10 @@ def test_gossip_walks_ring_skipping_leader():
         if src == 2 and isinstance(msg, wire.Reconstruct):
             wants_by_peer.setdefault(dst, []).extend(msg.wants)
     # server 2 holds shard {2}: the ring walk asks 3 for {3} and 4 for {4},
-    # never the leader or itself
+    # never the leader or itself; each want counts the shards still needed
     assert set(wants_by_peer) == {3, 4}
-    assert wants_by_peer[3][0] == (0, frozenset({3}))
-    assert wants_by_peer[4][0] == (0, frozenset({4}))
+    assert wants_by_peer[3][0] == (0, frozenset({3}), 2)
+    assert wants_by_peer[4][0] == (0, frozenset({4}), 1)
 
 
 def test_straggler_peer_skipped_after_silent_cycles():
@@ -270,6 +272,72 @@ def test_partitioned_follower_catches_up_after_heal():
     assert len({r.state_digest() for r in replicas}) == 1
 
 
+@pytest.mark.parametrize("c, down_while_written", [(1, False), (2, True)])
+def test_restarted_follower_fetches_each_missing_shard_once(c, down_while_written):
+    """Follower 4 restarts 60 slots behind, on 40 Mbps links where one peer
+    sending all five shards of every slot would take longer than the
+    straggler window. Written at c = 1 it was up and knows every slot's
+    holders; written at c = 2 it was down and knows none of them."""
+    spy = []
+    slow = LinkParams(delay_ms=0.5, bandwidth_bytes_per_ms=5_000.0)
+    net, replicas, (cli,), _ = make_cluster(
+        n=5, chooser="fixed", fixed_q=6 - c, fixed_c=c, deferral_bytes=0,
+        spy=spy, net_params=slow,
+    )
+    slots, size, gap = 60, 20_000, 15.0
+    written = 5.0 + slots * gap + 100.0
+    if down_while_written:
+        net.schedule_crash(1.0, 4)
+    else:
+        net.schedule_crash(written, 4)
+    net.schedule_restart(written + 50.0, 4)
+
+    def feed(now, i=[0]):
+        i[0] += 1
+        if i[0] <= slots:
+            cli.send(0, [put(f"k{i[0]}", bytes([i[0]]) * size, cli.cid, i[0])])
+            net.schedule_call(now + gap, feed)
+
+    net.schedule_call(5.0, feed)
+    r = replicas[4]
+    unknown = set()  # slots learned from a heartbeat alone
+    got = {"shards": 0, "to_decoded": 0}
+    inner = r.on_message
+
+    def on_message(src, msg, now):
+        if now > written and isinstance(msg, wire.Heartbeat):
+            unknown.update(
+                s for s in range(r.commit_idx, msg.commit_idx) if s not in r.log
+            )
+        if now > written and isinstance(msg, wire.ReconstructReply):
+            for e in msg.entries:
+                inst = r.log.get(e.slot)
+                got["shards"] += len(e.shards)
+                if inst is not None and inst.status >= Status.COMMITTED_KNOWN:
+                    got["to_decoded"] += sum(map(len, e.shards.values()))
+        inner(src, msg, now)
+
+    r.on_message = on_message
+    net.run(written + 3000.0)
+    lead = leader_of(replicas)
+    assert lead.id == 0 and lead.exec_idx == slots
+    assert r.exec_idx == slots and r.kv == lead.kv
+    assert got["to_decoded"] == 0
+    # every slot takes exactly the d - c shards it lacks
+    assert got["shards"] == slots * (3 - (0 if down_while_written else c))
+    wants = [
+        (dst, want) for t, src, dst, m in spy
+        if src == 4 and t > written and isinstance(m, wire.Reconstruct)
+        for want in m.wants
+    ]
+    assert wants and all(dst != 0 for dst, _ in wants)  # never the leader
+    if down_while_written:
+        assert unknown == set(range(slots))
+        assert all(1 <= need <= 3 for _, (_, _, need) in wants)
+        # the catch-up splits across the followers by ring position
+        assert {dst for dst, _ in wants} == {1, 2, 3}
+
+
 # ------------------------------------------------ one follower, driven by hand
 
 BALLOT = 5  # leader 0's first ballot at n = 5
@@ -439,15 +507,18 @@ def _stalled_follower(straggler_cycles=2):
 def test_outstanding_asks_route_around_then_expire():
     r, env, _ = _stalled_follower()
     first = dict(gossip_tick(r, env))
-    # the ring from 2 is 3, 4, 1, with the leader 0 last
-    assert sorted(first) == [3, 4]
+    # the ring from 2 is 3, 4, 1, with the leader 0 last; slot 3 has no
+    # known holders, so its walk starts at ring position 3 mod 4, peer 1
+    assert sorted(first) == [1, 3, 4]
+    assert first[1] == [(3, frozenset(range(5)), 3)]
     assert gossip_tick(r, env) == []  # the asks are still outstanding
-    # two silent cycles: 3 and 4 are stragglers, so the asks go to 1 and 0
+    # two silent cycles: 1, 3 and 4 are stragglers, so every ask goes to 0
     rerouted = dict(gossip_tick(r, env))
-    assert sorted(rerouted) == [0, 1]
+    assert sorted(rerouted) == [0]
+    assert [slot for slot, _, _ in rerouted[0]] == [0, 1, 2, 3]
     assert gossip_tick(r, env) == []
-    # four cycles after the first asks they expire, and 3 and 4 are asked
-    # again; the asks to 1 and 0 are two cycles old, so those are stragglers
+    # four cycles after the first asks they expire, and 1, 3 and 4 are asked
+    # again; the asks to 0 are two cycles old, so 0 is a straggler
     again = dict(gossip_tick(r, env))
     assert again == first
 
@@ -455,60 +526,68 @@ def test_outstanding_asks_route_around_then_expire():
 def test_reply_cancels_only_its_own_ask():
     r, env, payloads = _stalled_follower(straggler_cycles=10)
     first = dict(gossip_tick(r, env))
-    assert [slot for slot, _ in first[3]] == [0, 1, 2, 3]
+    assert [slot for slot, _, _ in first[3]] == [0, 1, 2]
     # peer 3 answers slot 1 with nothing: only its ask for slot 1 is gone
     deliver_reply(r, 3, [no_data(1)])
-    assert gossip_tick(r, env) == [(3, [(1, frozenset({3}))])]
-    # peer 4 delivers slot 0's missing shard: slot 0 is decoded, and its
-    # other ask (to 3) no longer matters
-    deliver_reply(r, 4, [recon_entry(0, payloads[0], [4])])
-    deliver_reply(r, 3, [recon_entry(0, payloads[0], [3])])
+    assert gossip_tick(r, env) == [(3, [(1, frozenset({3}), 1)])]
+    # peer 4 delivers both of slot 0's missing shards: slot 0 is decoded,
+    # and its ask to 3, still unanswered, is dropped with it
+    assert set(r._outstanding[0]) == {3, 4}
+    deliver_reply(r, 4, [recon_entry(0, payloads[0], [3, 4])])
     assert r.log[0].status >= Status.COMMITTED_KNOWN
     assert 0 not in r.partial_queue
+    assert 0 not in r._outstanding
+    assert set(r._outstanding[2]) == {3, 4}
     assert gossip_tick(r, env) == []
 
 
-# Reconstruct wants of follower 2 over a scripted series of gossip cycles,
-# recorded before the outstanding-ask index was keyed by slot; any change to
-# them is a change of simulated traffic. Shard sets compare equal to the
-# frozensets the replica sends.
+# Reconstruct wants of follower 2 over a scripted series of gossip cycles;
+# any change to them is a change of simulated traffic. Each want is (slot,
+# shard indices, need), and shard sets compare equal to the frozensets the
+# replica sends. Slots 3, 5 and 6 have no known holders: their walks start at
+# ring positions 3, 1 and 2 (mod 4) of the ring 3, 4, 0, 1, with the leader 0
+# last, so they go to peers 1, 4 and 1 rather than all to peer 3, and they
+# ask for d = 3 shards, data stripes first, rather than all five. Comments
+# name what changed against the wants recorded before each ask carried its
+# need.
 PINNED_WANTS = [
-    [  # cycle 1
-        (3, [(0, {3}), (1, {3}), (2, {3}), (3, {0, 1, 2, 3, 4}), (4, {4}), (5, {0, 1, 2, 3, 4})]),
-        (4, [(0, {4}), (1, {4}), (2, {4})]),
+    [  # cycle 1: slot 3 {0..4} -> peer 1, need 3; slot 5 {0..4} -> peer 4, need 3
+        (1, [(3, {0, 1, 2, 3, 4}, 3)]),
+        (3, [(0, {3}, 2), (1, {3}, 2), (2, {3}, 2), (4, {4}, 1)]),
+        (4, [(0, {4}, 1), (1, {4}, 1), (2, {4}, 1), (5, {0, 1, 2, 3, 4}, 3)]),
     ],
-    [  # cycle 2
-        (3, [(1, {3})]),
+    [  # cycle 2: unchanged but for the need
+        (3, [(1, {3}, 1)]),
     ],
-    [  # cycle 3
-        (0, [(1, {0}), (2, {0})]),
-        (1, [(0, {1}), (1, {1}), (2, {1}), (3, {0, 1, 2, 3, 4}), (4, {1}), (5, {0, 1, 2, 3, 4})]),
+    [  # cycle 3: peer 1 is a straggler too (slot 3's ask), so all go to the
+        # leader; slot 4 {0, 1} -> need 1, and slot 0 is re-asked at need 1
+        # for peer 4's silent ask
+        (0, [(0, {0}, 1), (1, {0}, 2), (2, {0}, 2), (3, {0, 1, 2, 3, 4}, 3),
+             (4, {0, 1}, 1), (5, {0, 1, 2, 3, 4}, 3)]),
     ],
     [],  # cycle 4
-    [  # cycle 5
-        (4, [(0, {4}), (1, {4}), (2, {4}), (3, {0, 1, 2, 3, 4}), (5, {0, 1, 2, 3, 4})]),
+    [  # cycle 5: the cycle-1 asks expired; slots 3 and 5 at their own starts
+        (1, [(1, {1}, 1), (2, {1}, 1), (3, {0, 1, 2, 3, 4}, 3)]),
+        (4, [(0, {4}, 1), (1, {4}, 2), (2, {4}, 2), (5, {0, 1, 2, 3, 4}, 3)]),
     ],
-    [  # cycle 6
-        (3, [(1, {3}), (2, {3})]),
+    [],  # cycle 6: was peer 3 for slots 1 and 2, now covered by cycle 5
+    [  # cycle 7: the leader replaces peer 1 for slots 0 and 2; slots 3 and
+        # 5 at need 3
+        (0, [(0, {0}, 1), (2, {0}, 1)]),
+        (3, [(2, {3}, 2), (3, {0, 1, 2, 3, 4}, 3), (5, {0, 1, 2, 3, 4}, 3)]),
     ],
-    [  # cycle 7
-        (1, [(0, {1}), (2, {1})]),
-        (3, [(3, {0, 1, 2, 3, 4}), (5, {0, 1, 2, 3, 4})]),
-    ],
-    [  # cycle 8
-        (0, [(2, {0})]),
-        (1, [(3, {0, 1, 2, 3, 4}), (5, {0, 1, 2, 3, 4})]),
-    ],
-    [  # cycle 9
-        (4, [(0, {4}), (2, {4}), (3, {0, 1, 2, 3, 4}), (5, {0, 1, 2, 3, 4}), (6, {0, 1, 2, 3, 4})]),
+    [],  # cycle 8: was the leader and peer 1, now covered by cycle 7
+    [  # cycle 9: slot 6 {0..4} -> peer 1, need 3; slot 5 stays at peer 4
+        (1, [(2, {1}, 1), (3, {0, 1, 2, 3, 4}, 3), (6, {0, 1, 2, 3, 4}, 3)]),
+        (4, [(0, {4}, 1), (2, {4}, 2), (5, {0, 1, 2, 3, 4}, 3)]),
     ],
     [],  # cycle 10
-    [  # cycle 11
-        (3, [(2, {3}), (3, {0, 1, 2, 3, 4}), (5, {0, 1, 2, 3, 4}), (6, {0, 1, 2, 3, 4})]),
+    [  # cycle 11: as cycle 7, with slot 6 at need 3
+        (0, [(0, {0}, 1), (2, {0}, 1)]),
+        (3, [(2, {3}, 2), (3, {0, 1, 2, 3, 4}, 3), (5, {0, 1, 2, 3, 4}, 3),
+             (6, {0, 1, 2, 3, 4}, 3)]),
     ],
-    [  # cycle 12
-        (1, [(0, {1}), (2, {1})]),
-    ],
+    [],  # cycle 12: was peer 1 for slots 0 and 2, now covered by cycle 11
 ]
 
 
@@ -529,3 +608,48 @@ def test_gossip_wants_pinned():
             deliver_heartbeat(r, 7)
         got.append(gossip_tick(r, env))
     assert got == PINNED_WANTS
+
+
+def _committed_follower(rid, c, payload):
+    """Follower `rid` holding its shards of `payload`, accepted at config c
+    as slot 0 and known committed."""
+    r, env = scripted_follower(rid=rid, deferral_bytes=10**9)
+    deliver_accept(r, 0, payload, c=c)
+    deliver_heartbeat(r, 1)
+    return r, env
+
+
+def _answer(r, env, wants):
+    env.sent.clear()
+    r.on_message(1, wire.Reconstruct(1, wants), 2.0)
+    ((dst, reply),) = env.sent
+    assert dst == 1
+    return reply.entries
+
+
+def test_raw_responder_returns_its_parity_shard():
+    payload = slot_payload(0, 300)
+    r, env = _committed_follower(4, 1, payload)  # holds parity shard 4 only
+    assert r.log[0].status == Status.COMMITTED_PARTIAL
+    (entry,) = _answer(r, env, [(0, frozenset(range(5)), 3)])
+    # the lowest indices are not here; what is here still goes back
+    assert entry.has_data and not entry.authoritative
+    assert entry.shards == {4: encode(payload, CodingScheme(5, 3)).shards[4]}
+
+
+def test_decoded_responder_sends_data_stripes_without_coding(monkeypatch):
+    payload = slot_payload(0, 3000)
+    r, env = _committed_follower(2, 3, payload)  # holds 2, 3, 4: decodes
+    assert r.log[0].status == Status.EXECUTED
+    cw = encode(payload, CodingScheme(5, 3))
+    calls = []
+    inner = erasure.gf_matmul
+    monkeypatch.setattr(erasure, "gf_matmul", lambda *a: calls.append(1) or inner(*a))
+    (entry,) = _answer(r, env, [(0, frozenset(range(5)), 3)])
+    assert entry.authoritative and sorted(entry.shards) == [0, 1, 2]
+    assert calls == []
+    assert b"".join(entry.shards[i] for i in range(3))[: len(payload)] == payload
+    # at most `need` shards, lowest index first; a parity shard costs coding
+    (entry,) = _answer(r, env, [(0, frozenset({1, 3, 4}), 2)])
+    assert entry.shards == {1: cw.shards[1], 3: cw.shards[3]}
+    assert len(calls) == 1

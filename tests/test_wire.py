@@ -83,9 +83,11 @@ def test_heartbeat_roundtrip():
     roundtrip(HeartbeatReply(4, 6, True, 6, 99.5))
 
 
-@given(idxs=idxsets)
-def test_reconstruct_roundtrip(idxs):
-    roundtrip(Reconstruct(2, [(5, idxs), (9, frozenset({1}))]))
+@given(idxs=idxsets, need=st.integers(0, 255))
+def test_reconstruct_roundtrip(idxs, need):
+    raw = roundtrip(Reconstruct(2, [(5, idxs, need), (9, frozenset({1}), 1)]))
+    # per want: u64 slot, u16 count, u16 per index, u8 need
+    assert len(raw) == 7 + 4 + (8 + 2 + 2 * len(idxs) + 1) + (8 + 2 + 2 + 1)
 
 
 @given(shards=shard_maps)
@@ -124,3 +126,46 @@ def test_malformed_inputs_rejected():
     bad_tag = bytes([raw[0], raw[1], raw[2], raw[3], 99]) + raw[5:]
     with pytest.raises(MalformedMessageError):
         decode(bad_tag)
+
+
+def _old_payload_nbytes(msg):
+    """The isinstance chain payload_nbytes was before each message class
+    carried its own count; kept as the reference."""
+    if isinstance(msg, Accept):
+        return sum(len(b) for b in msg.shards.values()) + len(msg.full_payload)
+    if isinstance(msg, ReconstructReply):
+        return sum(len(b) for e in msg.entries for b in e.shards.values())
+    if isinstance(msg, PrepareReply):
+        return sum(len(b) for e in msg.entries for b in e.shards.values())
+    if isinstance(msg, ClientRequest):
+        return sum(len(c.value) for c in msg.commands)
+    if isinstance(msg, ClientReply):
+        return sum(len(e.value) for e in msg.entries)
+    return 0
+
+
+@given(shards=shard_maps, more=shard_maps, value=st.binary(max_size=40))
+def test_payload_nbytes_matches_reference_for_every_type(shards, more, value):
+    msgs = [
+        Prepare(1, 5, 0),
+        PrepareReply(1, 12, True, 12, 3, [
+            PrepareEntry(3, 11, 9, True, 11, 5, 3, 100, b"\x80" * 5, shards),
+            PrepareEntry(4, 11, 9, False, 0, 5, 3, 10, b"", more),
+        ]),
+        Accept(0, 9, 6, wire.KIND_RR, 4, 2, 5, 3, 1000, 7, b"\xff" * 5, shards, b"", 1.0),
+        Accept(0, 9, 6, wire.KIND_VERBATIM, 3, 3, 5, 3, 4, 7, b"", more, value, 1.0),
+        AcceptReply(3, 9, 6, True, 6, frozenset({1, 2}), 1.0),
+        Heartbeat(0, 6, 42, 1.0),
+        HeartbeatReply(4, 6, True, 6, 1.0),
+        Reconstruct(2, [(5, frozenset({0, 4}), 3)]),
+        ReconstructReply(3, [
+            ReconEntry(5, True, False, 6, 1, 6, 5, 3, 77, shards),
+            ReconEntry(6, True, True, 6, 2, 6, 5, 3, 7, more),
+        ]),
+        ClientRequest(7, [Command(wire.PUT, "k", value, 7, 3), Command(wire.GET, "k", b"", 7, 4)]),
+        ClientReply(0, [ReplyEntry(7, 3, wire.OK, value, 2)], wire.NO_REDIRECT),
+    ]
+    assert {type(m) for m in msgs} == set(wire._TYPES)
+    for msg in msgs:
+        roundtrip(msg)
+        assert payload_nbytes(msg) == msg.payload_nbytes() == _old_payload_nbytes(msg)
