@@ -1,12 +1,10 @@
-"""Benchmark the GF(256) matrix kernels: compiled extension vs numpy fallback.
+"""Benchmark the GF(256) matrix kernel and the coding API built on it.
 
 Usage: python3 benchmarks/bench_gf.py [--repeat 5]
 
 Times the two shapes the coding path actually uses — parity generation
 (p×d times d×L) and decode (d×d times d×L) — across payload-sized widths,
-then an end-to-end encode/reconstruct pass through the public API under
-whichever backend is active for this process (CROSSWORD_PURE_KERNEL=1
-forces the fallback at import time).
+then an end-to-end encode/reconstruct pass through the public API.
 """
 
 import argparse
@@ -14,15 +12,7 @@ import time
 
 import numpy as np
 
-from crossword.erasure import (
-    BACKEND,
-    CodingScheme,
-    encode,
-    matmul_compiled,
-    matmul_python,
-    reconstruct,
-)
-from crossword.erasure._backend import _gfcore
+from crossword.erasure import CodingScheme, encode, gf_matmul, reconstruct
 
 
 def time_fn(fn, *args, repeat: int) -> float:
@@ -34,27 +24,17 @@ def time_fn(fn, *args, repeat: int) -> float:
     return best
 
 
-def bench_kernels(repeat: int) -> None:
+def bench_kernel(repeat: int) -> None:
     rng = np.random.default_rng(7)
-    rows = []
+    print(f"{'kernel shape':<14} {'width':>9} {'MB/s':>9}")
     for label, out_rows, inner in (("parity (2x3)", 2, 3), ("decode (3x3)", 3, 3)):
         # 43,691 B: a 128 KiB value split three ways, an odd width
         for width in (1024, 32 * 1024, 43691, 1024 * 1024 // 3):
             m = rng.integers(1, 256, size=(out_rows, inner), dtype=np.uint8)
             s = rng.integers(0, 256, size=(inner, width), dtype=np.uint8)
             mb = out_rows * inner * width / 1e6
-            t_py = time_fn(matmul_python, m, s, repeat=repeat)
-            cell = [label, width, f"{mb / t_py:8.1f}"]
-            if _gfcore is not None:
-                assert np.array_equal(matmul_python(m, s), matmul_compiled(m, s))
-                t_c = time_fn(matmul_compiled, m, s, repeat=repeat)
-                cell += [f"{mb / t_c:8.1f}", f"{t_py / t_c:6.1f}x"]
-            else:
-                cell += ["       -", "     -"]
-            rows.append(cell)
-    print(f"{'kernel shape':<14} {'width':>9} {'python MB/s':>12} {'compiled MB/s':>14} {'speedup':>8}")
-    for label, width, py, c, sp in rows:
-        print(f"{label:<14} {width:>9} {py:>12} {c:>14} {sp:>8}")
+            t = time_fn(gf_matmul, m, s, repeat=repeat)
+            print(f"{label:<14} {width:>9} {mb / t:>9.1f}")
 
 
 def bench_api(repeat: int) -> None:
@@ -63,9 +43,9 @@ def bench_api(repeat: int) -> None:
     t_enc = time_fn(encode, payload, scheme, repeat=repeat)
     cw = encode(payload, scheme)
     present = {0: cw.shards[0], 3: cw.shards[3], 4: cw.shards[4]}  # 1 data + 2 parity
+    assert reconstruct(present, scheme, len(payload)) == payload
     t_dec = time_fn(reconstruct, present, scheme, len(payload), repeat=repeat)
     print()
-    print(f"active backend: {BACKEND}")
     print(f"encode    1 MB (5,3): {t_enc * 1000:7.2f} ms  ({1.0 / t_enc:6.1f} MB/s)")
     print(f"decode    1 MB worst: {t_dec * 1000:7.2f} ms  ({1.0 / t_dec:6.1f} MB/s)")
 
@@ -74,7 +54,7 @@ def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--repeat", type=int, default=5, help="timing repetitions (best-of)")
     args = ap.parse_args()
-    bench_kernels(args.repeat)
+    bench_kernel(args.repeat)
     bench_api(args.repeat)
 
 

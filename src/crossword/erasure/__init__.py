@@ -3,6 +3,10 @@
 A payload is striped into d data shards (zero-padded to a multiple of d) and
 extended with p parity shards from a Cauchy-derived generator, so any d of
 the n_shards = d + p shards reconstruct the payload exactly.
+
+encode, reconstruct and encode_shard look gf_matmul up in this module at
+call time, so a wrapper set on `crossword.erasure.gf_matmul` sees every
+product.
 """
 
 from __future__ import annotations
@@ -11,11 +15,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._backend import BACKEND, gf_matmul, matmul_compiled, matmul_python
+from ._gfpure import gf_matmul
 from ._tables import cauchy_parity_rows, generator_row, gf_matinv
 
 __all__ = [
-    "BACKEND",
     "CodingScheme",
     "Codeword",
     "InsufficientShardsError",

@@ -1,4 +1,4 @@
-"""numpy fallback kernel: GF(256) matrix times shard-matrix product."""
+"""The GF(256) kernel: matrix times shard-matrix product, in numpy."""
 
 from __future__ import annotations
 

@@ -1,10 +1,16 @@
 """Single replica of the replicated KV log.
 
 One object per node, driven entirely by simulator callbacks (messages,
-timers, persist completions). The same state machine serves three operating
-modes: adaptive per-instance coding configs, fixed full-copy replication
-(payloads sent verbatim), and fixed single-shard coding with a reduced
-failure budget.
+timers, persist completions). All three protocols share one replication
+path: the leader splits each proposal into shards, sends every server the
+shards its assignment policy names, and commits once check_commit_rr counts
+q replies. They differ only in the policy and the (q, c) config:
+
+- crossword: balanced round-robin, c shards per server, (q, c) chosen per
+  slot by the chooser;
+- multipaxos: full copies. Every server holds the d data stripes, which are
+  slices of the value, so neither side does any coding;
+- rspaxos: balanced round-robin at c = 1, with a reduced failure budget.
 
 Slot indices are 0-based. commit_idx / exec_idx name the first slot NOT yet
 committed / executed, so slots [0, commit_idx) are committed.
@@ -37,14 +43,7 @@ from ..assignment import (
     encode_bitmap,
 )
 from ..erasure import CodingScheme, encode, encode_shard, reconstruct, shard_len
-from ..quorum import (
-    Config,
-    check_commit_rr,
-    multipaxos_config,
-    nodes,
-    rspaxos_config,
-    subcover,
-)
+from ..quorum import Config, check_commit_rr, multipaxos_config, rspaxos_config
 from ..tuner import RttTuner
 from . import wire
 from .hashing import state_hash
@@ -72,12 +71,10 @@ def value_id(payload: bytes) -> int:
 class ReplicaConfig:
     params: ClusterParams
     protocol: str = "crossword"  # crossword | multipaxos | rspaxos
-    chooser: str = "regression"  # regression | threshold | fixed | unbalanced
+    chooser: str = "regression"  # regression | threshold | fixed
     chooser_table: tuple[tuple[int, int], ...] = ()  # (min_bytes, c), checked descending
     fixed_q: int = 0
     fixed_c: int = 0
-    unbalanced_policy: AssignmentPolicy | None = None
-    unbalanced_scheme: CodingScheme | None = None
     heartbeat_ms: float = 20.0
     election_min_ms: float = 300.0
     election_max_ms: float = 600.0
@@ -107,7 +104,6 @@ class Instance:
     """One log slot as this replica sees it."""
 
     ballot: int = 0  # highest ballot accepted here; 0 = none
-    kind: int = wire.KIND_RR
     q: int = 0
     c: int = 0
     scheme: CodingScheme | None = None
@@ -320,11 +316,6 @@ class Replica:
             inst.commit_vid = 0
             if inst.status != Status.NULL:
                 inst.status = Status.ACCEPTING if inst.ballot else Status.NULL
-            if inst.kind == wire.KIND_VERBATIM and inst.scheme and len(inst.own_shards) == inst.scheme.d:
-                # full-copy payloads are durable via their stripes
-                inst.payload = b"".join(
-                    inst.own_shards[i] for i in range(inst.scheme.d)
-                )[: inst.payload_len]
         self._arm_election()
         self._arm_gossip()
         self.trace("restart", self.id, now)
@@ -740,30 +731,22 @@ class Replica:
         self._propose_at(slot, encode_batch(cmds), now)
 
     def _propose_at(self, slot: int, payload: bytes, now: float) -> None:
-        cfg = self.cfg
         vid = value_id(payload)
-        if cfg.chooser == "unbalanced" and cfg.protocol == "crossword":
-            scheme = cfg.unbalanced_scheme
-            policy = cfg.unbalanced_policy
-            kind = wire.KIND_GENERAL
-            config = Config(q=0, c=0)
+        scheme = self.params.scheme
+        config = self._choose_config(len(payload), now)
+        if self.cfg.protocol == "multipaxos":
+            # full copies: every server takes the data stripes, cut by slicing
+            policy = AssignmentPolicy(
+                tuple(frozenset(range(scheme.d)) for _ in range(self.n)), scheme.n_shards
+            )
+            stripes = _data_stripes(payload, scheme)
         else:
-            scheme = self.params.scheme
-            config = self._choose_config(len(payload), now)
-            if cfg.protocol == "multipaxos":
-                kind = wire.KIND_VERBATIM
-                policy = AssignmentPolicy(
-                    tuple(frozenset(range(scheme.d)) for _ in range(self.n)), scheme.n_shards
-                )
-            else:
-                kind = wire.KIND_RR
-                policy = balanced_rr(self.params, config.c)
-        cw = encode(payload, scheme) if kind != wire.KIND_VERBATIM else None
+            policy = balanced_rr(self.params, config.c)
+            stripes = encode(payload, scheme).shards
         bitmap = encode_bitmap(policy)
         inst = self.log.setdefault(slot, Instance())
         self.max_slot = max(self.max_slot, slot)
         inst.ballot = self.current_ballot
-        inst.kind = kind
         inst.q, inst.c = config.q, config.c
         if inst.scheme is not None and (inst.scheme.n_shards, inst.scheme.d) != (
             scheme.n_shards,
@@ -785,25 +768,15 @@ class Replica:
         if inst.status < Status.ACCEPTING:
             inst.status = Status.ACCEPTING
         for p in self.peers:
-            if kind == wire.KIND_VERBATIM:
-                shards: dict[int, bytes] = {}
-                full = payload
-            else:
-                shards = {i: cw.shards[i] for i in sorted(policy.shards_of(p))}
-                full = b""
             msg = wire.Accept(
-                self.id, slot, self.current_ballot, kind, config.q, config.c,
-                scheme.n_shards, scheme.d, len(payload), vid, bitmap, shards, full, now,
+                self.id, slot, self.current_ballot, config.q, config.c,
+                scheme.n_shards, scheme.d, len(payload), vid, bitmap,
+                {i: stripes[i] for i in sorted(policy.shards_of(p))}, now,
             )
             inst.sent_sizes[p] = wire.wire_size(msg)
             self.env.send(p, msg)
-        own = policy.shards_of(self.id)
-        if kind == wire.KIND_VERBATIM:
-            own_bytes = len(payload)
-            staged = _data_stripes(payload, scheme)
-        else:
-            staged = {i: cw.shards[i] for i in sorted(own)}
-            own_bytes = sum(len(b) for b in staged.values())
+        staged = {i: stripes[i] for i in sorted(policy.shards_of(self.id))}
+        own_bytes = sum(len(b) for b in staged.values())
         self._pending_self[(slot, self.current_ballot)] = staged
         self.env.persist(max(own_bytes, 1), ("lp", slot, self.current_ballot))
         self.trace("propose", self.id, slot, config.q, config.c, len(payload), now)
@@ -817,11 +790,7 @@ class Replica:
         if inst is None or inst.ballot != ballot:
             return
         inst.own_shards = staged
-        inst.replies[self.id] = (
-            frozenset(range(inst.scheme.d))
-            if inst.kind == wire.KIND_VERBATIM
-            else frozenset(staged)
-        )
+        inst.replies[self.id] = frozenset(staged)
         self._check_commit(slot, inst, now)
 
     # ------------------------------------------------------- accept (peers)
@@ -869,16 +838,12 @@ class Replica:
             ):
                 inst.gossip_shards.clear()  # pooled under a different codeword layout
             inst.ballot = m.ballot
-            inst.kind = m.kind
             inst.q, inst.c = m.q, m.c
             inst.scheme = scheme
             self._set_payload_len(m.slot, inst, m.payload_len)
             inst.scheme_vid = m.vid
             inst.assignment = decode_bitmap(m.bitmap, self.n, m.n_shards) if m.bitmap else None
-            if m.kind == wire.KIND_VERBATIM:
-                inst.payload = m.full_payload
-                inst.own_shards = _data_stripes(m.full_payload, scheme)
-            elif same_value:
+            if same_value:
                 inst.own_shards.update(m.shards)
             else:
                 inst.own_shards = dict(m.shards)
@@ -894,11 +859,7 @@ class Replica:
                 inst.status = Status.ACCEPTING
             self._try_promote(m.slot, inst, now)
             self._execute_ready(now)
-        persisted = (
-            frozenset(range(inst.scheme.d))
-            if inst.kind == wire.KIND_VERBATIM and inst.ballot == m.ballot
-            else frozenset(inst.own_shards if inst.ballot == m.ballot else m.shards)
-        )
+        persisted = frozenset(inst.own_shards if inst.ballot == m.ballot else m.shards)
         self.env.send(
             m.sender,
             wire.AcceptReply(self.id, m.slot, m.ballot, True, self.promised, persisted, m.sent_at),
@@ -925,12 +886,7 @@ class Replica:
     def _check_commit(self, slot: int, inst: Instance, now: float) -> None:
         if inst.status != Status.ACCEPTING or self.role != LEADER:
             return
-        if inst.kind == wire.KIND_GENERAL:
-            ap = inst.replies
-            ok = nodes(ap) >= self.params.m and subcover(ap, self.params.f) >= inst.scheme.d
-        else:
-            ok = check_commit_rr(Config(inst.q, inst.c), len(inst.replies))
-        if not ok:
+        if not check_commit_rr(Config(inst.q, inst.c), len(inst.replies)):
             return
         inst.committed = True
         inst.commit_ballot = inst.ballot
@@ -1084,14 +1040,22 @@ class Replica:
             if inst is None or not inst.committed or inst.status >= Status.COMMITTED_KNOWN:
                 continue
             scheme = inst.scheme or self.params.scheme
-            expected = set(inst.shard_pool())
+            # while the committed vid is unknown, the durable shards count
+            # (they most likely carry the committed value), but some peer
+            # must still be asked for at least one shard: its reply settles
+            # the vid
+            expected = set(inst.shard_pool() if inst.commit_vid else inst.own_shards)
+            settle = not inst.commit_vid
             asks = self._outstanding.get(slot)
             if asks:
                 for peer, (idxs, _cyc) in asks.items():
                     if peer not in stragglers:
                         expected |= idxs
-            if len(expected) >= scheme.d:
+                        settle = False
+            need = scheme.d - len(expected)
+            if need <= 0 and not settle:
                 continue
+            need = max(need, 1)
             # holders unknown (the slot was learned from a heartbeat): any
             # peer can answer, so each slot starts at its own ring position
             # and a catch-up burst splits across the peers
@@ -1106,12 +1070,17 @@ class Replica:
                 orders[start] = candidates
             for peer in candidates:
                 if inst.assignment is not None:
-                    avail = set(inst.assignment.shards_of(peer)) - expected
+                    held = set(inst.assignment.shards_of(peer))
                 else:
-                    avail = set(range(scheme.n_shards)) - expected
+                    held = set(range(scheme.n_shards))
+                avail = held - expected
+                if not avail and settle:
+                    # every shard the peer holds is here already (full
+                    # copies): one of them is asked for again, for the vid
+                    avail = held
                 if not avail:
                     continue
-                need = scheme.d - len(expected)
+                settle = False
                 plan.setdefault(peer, []).append((slot, frozenset(avail), need))
                 # the responder sends the lowest `need` of them that it has
                 sent = frozenset(sorted(avail)[:need])
@@ -1119,7 +1088,8 @@ class Replica:
                     asks = self._outstanding[slot] = {}
                 asks[peer] = (sent, self._cycle)
                 expected |= sent
-                if len(expected) >= scheme.d:
+                need = scheme.d - len(expected)
+                if need <= 0:
                     break
         for peer, wants in sorted(plan.items()):
             if self.cfg.gossip_batching:

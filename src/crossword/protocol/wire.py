@@ -19,9 +19,6 @@ __all__ = [
     "GET",
     "Heartbeat",
     "HeartbeatReply",
-    "KIND_GENERAL",
-    "KIND_RR",
-    "KIND_VERBATIM",
     "MalformedMessageError",
     "NOT_FOUND",
     "OK",
@@ -42,7 +39,6 @@ __all__ = [
 
 PUT, GET = 0, 1
 OK, NOT_FOUND, REDIRECT = 0, 1, 2
-KIND_RR, KIND_GENERAL, KIND_VERBATIM = 0, 1, 2
 
 
 class MalformedMessageError(ValueError):
@@ -233,7 +229,6 @@ class Accept(_Message):
     sender: int
     slot: int
     ballot: int
-    kind: int  # KIND_RR | KIND_GENERAL | KIND_VERBATIM
     q: int
     c: int
     n_shards: int
@@ -241,14 +236,12 @@ class Accept(_Message):
     payload_len: int
     vid: int  # value identity: digest of the whole payload
     bitmap: bytes
-    shards: dict[int, bytes]
-    full_payload: bytes  # only under KIND_VERBATIM
+    shards: dict[int, bytes]  # the receiver's slice of the assignment
     sent_at: float
 
     def _body(self, w: _Writer):
         w.u64(self.slot)
         w.u64(self.ballot)
-        w.u8(self.kind)
         w.u8(self.q)
         w.u8(self.c)
         w.u16(self.n_shards)
@@ -257,18 +250,17 @@ class Accept(_Message):
         w.u64(self.vid)
         w.blob(self.bitmap)
         w.shards(self.shards)
-        w.blob(self.full_payload)
         w.f64(self.sent_at)
 
     @classmethod
     def _parse(cls, sender, r: _Reader):
         return cls(
-            sender, r.u64(), r.u64(), r.u8(), r.u8(), r.u8(), r.u16(), r.u16(),
-            r.u32(), r.u64(), r.blob(), r.shards(), r.blob(), r.f64(),
+            sender, r.u64(), r.u64(), r.u8(), r.u8(), r.u16(), r.u16(),
+            r.u32(), r.u64(), r.blob(), r.shards(), r.f64(),
         )
 
     def payload_nbytes(self) -> int:
-        return sum(len(b) for b in self.shards.values()) + len(self.full_payload)
+        return sum(len(b) for b in self.shards.values())
 
 
 @dataclass

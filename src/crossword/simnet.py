@@ -47,7 +47,7 @@ class Node(Protocol):
 
 
 # heap entry kinds
-_DELIVER, _TIMER, _PERSIST, _CRASH, _RESTART, _SETLINK, _CALL = range(7)
+_DELIVER, _TIMER, _PERSIST, _CRASH, _RESTART, _CALL = range(6)
 
 
 class SimNet:
@@ -134,11 +134,6 @@ class SimNet:
     def schedule_restart(self, at: float, node: int) -> None:
         self._push(at, _RESTART, (node,))
 
-    def schedule_set_link(self, at: float, a: int, b: int, params: LinkParams) -> None:
-        """Takes effect when dispatched; traffic already in flight keeps its
-        scheduled arrival."""
-        self._push(at, _SETLINK, (a, b, params))
-
     def schedule_call(self, at: float, fn: Callable[[float], None]) -> None:
         self._push(at, _CALL, (fn,))
 
@@ -170,9 +165,6 @@ class SimNet:
             if not self.alive.get(node, True):
                 self.alive[node] = True
                 self.nodes[node].on_restart(at)
-        elif kind == _SETLINK:
-            a, b, params = data
-            self.links[(a, b)] = params
         elif kind == _CALL:
             data[0](at)
         return True

@@ -97,7 +97,8 @@ def test_restart_invokes_handler():
 def test_set_link_not_retroactive():
     net, _, b = two_nodes(delay=10.0, bw=1e9)
     net.send(0, 1, (10, "inflight"), 10)
-    net.schedule_set_link(1.0, 0, 1, LinkParams(10.0, 1e9, up=False))
+    # a link change takes effect when its call runs, as the runner makes it
+    net.schedule_call(1.0, lambda now: net.set_link(0, 1, LinkParams(10.0, 1e9, up=False)))
     net.run(0.0)
     net.run(20.0)
     # in-flight message still arrives; sends after the cut are dropped

@@ -55,22 +55,15 @@ def test_prepare_reply_roundtrip(shards, committed):
 @given(shards=shard_maps)
 def test_accept_roundtrip(shards):
     msg = Accept(
-        sender=0, slot=9, ballot=6, kind=wire.KIND_RR, q=4, c=2, n_shards=5,
-        d=3, payload_len=1000, vid=0xABCD, bitmap=b"\xff" * 5, shards=shards,
-        full_payload=b"", sent_at=12.5,
+        sender=0, slot=9, ballot=6, q=4, c=2, n_shards=5, d=3, payload_len=1000,
+        vid=0xABCD, bitmap=b"\xff" * 5, shards=shards, sent_at=12.5,
     )
-    roundtrip(msg)
+    raw = roundtrip(msg)
     assert payload_nbytes(msg) == sum(len(b) for b in shards.values())
-
-
-def test_verbatim_accept_payload_bytes():
-    msg = Accept(
-        sender=0, slot=1, ballot=6, kind=wire.KIND_VERBATIM, q=3, c=3,
-        n_shards=5, d=3, payload_len=4, vid=7, bitmap=b"", shards={},
-        full_payload=b"abcd", sent_at=0.0,
-    )
-    roundtrip(msg)
-    assert payload_nbytes(msg) == 4
+    # u64 slot, ballot; u8 q, c; u16 n_shards, d; u32 payload_len; u64 vid;
+    # the bitmap blob; u16 count, then u16 index and a blob per shard; f64
+    framing = 7 + 8 + 8 + 1 + 1 + 2 + 2 + 4 + 8 + (4 + 5) + 2 + 8
+    assert len(raw) == framing + sum(2 + 4 + len(b) for b in shards.values())
 
 
 @given(persisted=idxsets)
@@ -132,7 +125,7 @@ def _old_payload_nbytes(msg):
     """The isinstance chain payload_nbytes was before each message class
     carried its own count; kept as the reference."""
     if isinstance(msg, Accept):
-        return sum(len(b) for b in msg.shards.values()) + len(msg.full_payload)
+        return sum(len(b) for b in msg.shards.values())
     if isinstance(msg, ReconstructReply):
         return sum(len(b) for e in msg.entries for b in e.shards.values())
     if isinstance(msg, PrepareReply):
@@ -152,8 +145,8 @@ def test_payload_nbytes_matches_reference_for_every_type(shards, more, value):
             PrepareEntry(3, 11, 9, True, 11, 5, 3, 100, b"\x80" * 5, shards),
             PrepareEntry(4, 11, 9, False, 0, 5, 3, 10, b"", more),
         ]),
-        Accept(0, 9, 6, wire.KIND_RR, 4, 2, 5, 3, 1000, 7, b"\xff" * 5, shards, b"", 1.0),
-        Accept(0, 9, 6, wire.KIND_VERBATIM, 3, 3, 5, 3, 4, 7, b"", more, value, 1.0),
+        Accept(0, 9, 6, 4, 2, 5, 3, 1000, 7, b"\xff" * 5, shards, 1.0),
+        Accept(0, 9, 6, 3, 3, 5, 3, 4, 7, b"\xe0" * 5, more, 1.0),
         AcceptReply(3, 9, 6, True, 6, frozenset({1, 2}), 1.0),
         Heartbeat(0, 6, 42, 1.0),
         HeartbeatReply(4, 6, True, 6, 1.0),
