@@ -1,6 +1,9 @@
 """Shard-to-server assignment policies and their bitmap wire form.
 
-Balanced round-robin gives server s the c consecutive shards starting at its
+A slot proposed at c shards per server uses `slot_policy(params, c)`. At
+c >= d that is full copies: every server takes the d data stripes, which are
+slices of the value, so no server codes or decodes. Below d it is balanced
+round-robin, which gives server s the c consecutive shards starting at its
 own index (mod n). Unbalanced policies carry arbitrary per-server sets over a
 possibly wider coding scheme.
 """
@@ -20,6 +23,7 @@ __all__ = [
     "balanced_rr",
     "decode_bitmap",
     "encode_bitmap",
+    "slot_policy",
     "unbalanced",
 ]
 
@@ -75,7 +79,8 @@ class AssignmentPolicy:
 
 
 def balanced_rr(params: ClusterParams, c: int) -> AssignmentPolicy:
-    """Round-robin policy: server s takes shards {s, s+1, ..., s+c-1} mod n."""
+    """Round-robin policy: server s takes shards {s, s+1, ..., s+c-1} mod n.
+    Slots use it below c = d (see slot_policy)."""
     if not 1 <= c <= params.m:
         raise InvalidParameterError(f"c={c} outside [1, {params.m}]")
     n = params.n
@@ -83,6 +88,28 @@ def balanced_rr(params: ClusterParams, c: int) -> AssignmentPolicy:
         frozenset((s + k) % n for k in range(c)) for s in range(n)
     )
     return AssignmentPolicy(per_server=per, n_shards=params.scheme.n_shards)
+
+
+@lru_cache(maxsize=64)
+def slot_policy(params: ClusterParams, c: int) -> tuple[AssignmentPolicy, bytes]:
+    """The policy of a slot proposed at c shards per server, with its bitmap.
+
+    At c >= d every server takes data stripes 0..d-1: each holds a full
+    copy, rebuilt by concatenation. That is d shards per server, as
+    balanced_rr gives at c = d, so at c = d an Accept's size does not depend
+    on which of the two a slot uses. Memoized: the result is frozen and
+    shared."""
+    d = params.scheme.d
+    if c < d:
+        policy = balanced_rr(params, c)
+    elif c <= params.m:
+        policy = AssignmentPolicy(
+            per_server=tuple(frozenset(range(d)) for _ in range(params.n)),
+            n_shards=params.scheme.n_shards,
+        )
+    else:
+        raise InvalidParameterError(f"c={c} outside [1, {params.m}]")
+    return policy, encode_bitmap(policy)
 
 
 def unbalanced(per_server: list[set[int]], scheme: CodingScheme) -> AssignmentPolicy:

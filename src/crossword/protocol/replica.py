@@ -3,14 +3,16 @@
 One object per node, driven entirely by simulator callbacks (messages,
 timers, persist completions). All three protocols share one replication
 path: the leader splits each proposal into shards, sends every server the
-shards its assignment policy names, and commits once check_commit_rr counts
-q replies. They differ only in the policy and the (q, c) config:
+shards its slot's policy names, and commits once check_commit_rr counts q
+replies. The policy follows from the slot's config alone (slot_policy): at
+c >= d every server holds a full copy, the d data stripes, which are slices
+of the value, so neither side does any coding; below d, balanced round-robin
+over the RS codeword. The protocols differ only in how (q, c) is chosen:
 
-- crossword: balanced round-robin, c shards per server, (q, c) chosen per
-  slot by the chooser;
-- multipaxos: full copies. Every server holds the d data stripes, which are
-  slices of the value, so neither side does any coding;
-- rspaxos: balanced round-robin at c = 1, with a reduced failure budget.
+- crossword: per slot, by the chooser, on the line q + c = n + 1; its
+  full-copy end is c = d;
+- multipaxos: crossword pinned at (m, m), so always full copies;
+- rspaxos: pinned at c = 1, with a reduced failure budget.
 
 Slot indices are 0-based. commit_idx / exec_idx name the first slot NOT yet
 committed / executed, so slots [0, commit_idx) are committed.
@@ -38,9 +40,9 @@ from typing import Any, Callable
 from ..assignment import (
     AssignmentPolicy,
     ClusterParams,
-    balanced_rr,
     decode_bitmap,
     encode_bitmap,
+    slot_policy,
 )
 from ..erasure import CodingScheme, encode, encode_shard, reconstruct, shard_len
 from ..quorum import Config, check_commit_rr, multipaxos_config, rspaxos_config
@@ -118,14 +120,14 @@ class Instance:
     commit_ballot: int = 0  # exact committing ballot when known, else 0
     commit_vid: int = 0  # vid of the committed value when known, else 0
     payload: bytes | None = None  # volatile decoded value
-    batch: list[wire.Command] | None = None
     # leader bookkeeping (volatile)
     replies: dict[int, frozenset[int]] = field(default_factory=dict)
     sent_sizes: dict[int, int] = field(default_factory=dict)
     proposed_at: float = 0.0
 
     def shard_pool(self) -> dict[int, bytes]:
-        """Shards known to carry the committed value."""
+        """Shards known to carry the committed value. Read only while the
+        value is not in hand: a decoded slot holds no gossip shards."""
         if not self.commit_vid:
             return {}
         pool = dict(self.gossip_shards)
@@ -308,7 +310,6 @@ class Replica:
         for inst in self.log.values():
             inst.gossip_shards = {}
             inst.payload = None
-            inst.batch = None
             inst.replies = {}
             inst.sent_sizes = {}
             inst.committed = False
@@ -544,6 +545,7 @@ class Replica:
         if (
             matched
             and shards
+            and inst.status < Status.COMMITTED_KNOWN
             and inst.scheme is not None
             and inst.scheme_vid == inst.commit_vid
             and (n_shards, d) == (inst.scheme.n_shards, inst.scheme.d)
@@ -622,17 +624,17 @@ class Replica:
         if len(pool) >= inst.scheme.d:
             chosen = {k: pool[k] for k in sorted(pool)[: inst.scheme.d]}
             inst.payload = reconstruct(chosen, inst.scheme, inst.payload_len)
-            inst.batch = None
             self._mark_known(slot, inst)
             self.trace("promote", self.id, slot, now)
         else:
             self.partial_queue.add(slot)
 
     def _mark_known(self, slot: int, inst: Instance) -> None:
-        """The value is in hand: the slot leaves the repair queue, and its
-        unanswered shard asks no longer matter, so a slow peer is not made a
-        straggler for them."""
+        """The value is in hand: the slot leaves the repair queue, its
+        pooled gossip shards are dropped, and its unanswered shard asks no
+        longer matter, so a slow peer is not made a straggler for them."""
         inst.status = Status.COMMITTED_KNOWN
+        inst.gossip_shards = {}
         self.partial_queue.discard(slot)
         self._outstanding.pop(slot, None)
 
@@ -734,32 +736,22 @@ class Replica:
         vid = value_id(payload)
         scheme = self.params.scheme
         config = self._choose_config(len(payload), now)
-        if self.cfg.protocol == "multipaxos":
-            # full copies: every server takes the data stripes, cut by slicing
-            policy = AssignmentPolicy(
-                tuple(frozenset(range(scheme.d)) for _ in range(self.n)), scheme.n_shards
-            )
-            stripes = _data_stripes(payload, scheme)
+        policy, bitmap = slot_policy(self.params, config.c)
+        if config.c >= scheme.d:
+            stripes = _data_stripes(payload, scheme)  # full copies: no coding
         else:
-            policy = balanced_rr(self.params, config.c)
             stripes = encode(payload, scheme).shards
-        bitmap = encode_bitmap(policy)
         inst = self.log.setdefault(slot, Instance())
         self.max_slot = max(self.max_slot, slot)
         inst.ballot = self.current_ballot
         inst.q, inst.c = config.q, config.c
-        if inst.scheme is not None and (inst.scheme.n_shards, inst.scheme.d) != (
-            scheme.n_shards,
-            scheme.d,
-        ):
-            inst.gossip_shards.clear()  # pooled under a different codeword layout
+        inst.gossip_shards = {}  # the value is in hand
         inst.scheme = scheme
         self._set_payload_len(slot, inst, len(payload))
         inst.scheme_vid = vid
         inst.value_id = vid
         inst.assignment = policy
         inst.payload = payload
-        inst.batch = None
         inst.replies = {}
         inst.sent_sizes = {}
         inst.proposed_at = now
@@ -849,7 +841,6 @@ class Replica:
                 inst.own_shards = dict(m.shards)
                 if not inst.committed:
                     inst.payload = None
-                    inst.batch = None
             inst.value_id = m.vid
             if inst.committed and not inst.commit_vid:
                 # a post-commit acceptance necessarily carries the committed
@@ -913,11 +904,9 @@ class Replica:
             if inst.status == Status.EXECUTED:
                 self.exec_idx += 1
                 continue
-            if inst.batch is None:
-                if inst.payload is None:
-                    return
-                inst.batch = decode_batch(inst.payload)
-            self._apply_batch(self.exec_idx, inst, now)
+            if inst.payload is None:
+                return
+            self._apply_batch(self.exec_idx, inst, decode_batch(inst.payload), now)
             inst.status = Status.EXECUTED
             self.exec_idx += 1
         if (
@@ -926,8 +915,10 @@ class Replica:
         ):
             self._take_snapshot()
 
-    def _apply_batch(self, slot: int, inst: Instance, now: float) -> None:
-        for cmd in inst.batch:
+    def _apply_batch(
+        self, slot: int, inst: Instance, cmds: list[wire.Command], now: float
+    ) -> None:
+        for cmd in cmds:
             sess = self.sessions.get(cmd.client)
             if sess and cmd.seq <= sess[0]:
                 if cmd.seq == sess[0] and self.role == LEADER:

@@ -88,6 +88,43 @@ class _Writer:
             self.blob(sh[idx])
 
 
+class _Sizer:
+    """A _Writer that packs nothing: it only adds up the lengths of the
+    parts a _Writer would append, so wire_size runs the same _body code."""
+
+    __slots__ = ("n",)
+
+    def __init__(self):
+        self.n = 0
+
+    def u8(self, v):
+        self.n += 1
+
+    def u16(self, v):
+        self.n += 2
+
+    def u32(self, v):
+        self.n += 4
+
+    def u64(self, v):
+        self.n += 8
+
+    def f64(self, v):
+        self.n += 8
+
+    def blob(self, b: bytes):
+        self.n += 4 + len(b)
+
+    def text(self, s: str):
+        self.n += 2 + len(s.encode())
+
+    def idxset(self, xs):
+        self.n += 2 + 2 * len(xs)
+
+    def shards(self, sh: dict[int, bytes]):
+        self.n += 2 + 6 * len(sh) + sum(map(len, sh.values()))
+
+
 class _Reader:
     __slots__ = ("buf", "off")
 
@@ -486,16 +523,11 @@ _TAG = {cls: i + 1 for i, cls in enumerate(_TYPES)}
 _HEAD = struct.Struct("!IBH")  # total length, type tag, sender
 
 
-def _body_parts(msg) -> list[bytes]:
+def encode(msg) -> bytes:
     w = _Writer()
     msg._body(w)
-    return w.parts
-
-
-def encode(msg) -> bytes:
-    parts = _body_parts(msg)
-    total = _HEAD.size + sum(map(len, parts))
-    return b"".join([_HEAD.pack(total, _TAG[type(msg)], msg.sender), *parts])
+    total = _HEAD.size + sum(map(len, w.parts))
+    return b"".join([_HEAD.pack(total, _TAG[type(msg)], msg.sender), *w.parts])
 
 
 def decode(buf: bytes, off: int = 0):
@@ -516,12 +548,13 @@ def decode(buf: bytes, off: int = 0):
 
 
 def wire_size(msg) -> int:
-    """len(encode(msg)), from the lengths of the same parts without joining
-    them."""
+    """len(encode(msg)), from the same _body run on a _Sizer, which packs
+    nothing."""
     cached = getattr(msg, "_wire_cache", None)
     if cached is None:
-        cached = _HEAD.size + sum(map(len, _body_parts(msg)))
-        msg._wire_cache = cached
+        sizer = _Sizer()
+        msg._body(sizer)
+        cached = msg._wire_cache = _HEAD.size + sizer.n
     return cached
 
 

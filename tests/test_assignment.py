@@ -10,6 +10,7 @@ from crossword.assignment import (
     balanced_rr,
     decode_bitmap,
     encode_bitmap,
+    slot_policy,
     unbalanced,
 )
 from crossword.erasure import CodingScheme
@@ -53,6 +54,25 @@ def test_balanced_rr_c_range():
         balanced_rr(params, 0)
     with pytest.raises(InvalidParameterError):
         balanced_rr(params, 4)
+
+
+@pytest.mark.parametrize("n", [3, 5])
+def test_slot_policy_full_copies_from_d(n):
+    params = ClusterParams.for_cluster(n)
+    d = params.scheme.d
+    for c in range(1, d):
+        rr = balanced_rr(params, c)
+        assert slot_policy(params, c) == (rr, encode_bitmap(rr))
+    policy, bitmap = slot_policy(params, d)
+    assert policy.per_server == (frozenset(range(d)),) * n
+    assert policy.n_shards == params.scheme.n_shards
+    assert decode_bitmap(bitmap, n, policy.n_shards) == policy
+    assert len(bitmap) == len(encode_bitmap(balanced_rr(params, d)))
+    assert slot_policy(params, d) is slot_policy(params, d)
+    with pytest.raises(InvalidParameterError):
+        slot_policy(params, d + 1)
+    with pytest.raises(InvalidParameterError):
+        slot_policy(params, 0)
 
 
 def test_unbalanced_wider_scheme():

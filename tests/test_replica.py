@@ -1,16 +1,19 @@
 """State-machine tests: commit flow, gossip repair, takeover recovery,
 dedup, snapshots, the negative durability case for single-shard mode, and a
-known stale lease read (expected to fail); then one replica driven message by
-message, for the deferral boundary, the outstanding shard asks of its gossip
-tick, the shards it answers with, and the asks of a follower that does not
-yet know which value its slot committed."""
+known stale lease read (expected to fail); the shard policy a slot's config
+selects, and the value copies a replica keeps; then one replica driven
+message by message, for the deferral boundary, the outstanding shard asks of
+its gossip tick, the shards it answers with, the asks of a follower that does
+not yet know which value its slot committed, and a full-copy re-proposal."""
 
 import pytest
 
 from crossword import erasure
-from crossword.assignment import ClusterParams, balanced_rr, encode_bitmap
+from crossword.assignment import ClusterParams, balanced_rr, encode_bitmap, slot_policy
 from crossword.erasure import CodingScheme, encode
+from crossword.harness import check_conservation, parse_scenario, run_scenario
 from crossword.protocol import Replica, ReplicaConfig, wire
+from crossword.protocol import replica as replica_mod
 from crossword.protocol.replica import (
     LEADER,
     Status,
@@ -176,6 +179,94 @@ def test_multipaxos_strips_stripe_padding(monkeypatch):
     # vid, and its own stripes do the rest
     wants = [w for _, src, _, m in spy if src == 0 and isinstance(m, wire.Reconstruct) for w in m.wants]
     assert [need for _, _, need in wants] == [1]
+
+
+def _count_encodes(monkeypatch) -> list:
+    calls = []
+    inner = replica_mod.encode
+    monkeypatch.setattr(replica_mod, "encode", lambda *a: calls.append(1) or inner(*a))
+    return calls
+
+
+@pytest.mark.parametrize("n", [3, 5])
+@pytest.mark.parametrize("full", [True, False], ids=["c=d", "c<d"])
+def test_slot_config_selects_the_shard_policy(monkeypatch, n, full):
+    """At c = d every peer gets data stripes 0..d-1, sliced from the value,
+    in an Accept exactly as large as the round-robin one it replaces, and no
+    server codes or decodes; below d the slot is RS-coded over the ring."""
+    params = ClusterParams.for_cluster(n)
+    d = params.scheme.d
+    c = d if full else d - 1
+    encodes, products = _count_encodes(monkeypatch), _count_gf_products(monkeypatch)
+    spy = []
+    net, replicas, (cli,), _ = make_cluster(
+        n=n, chooser="fixed", fixed_q=n + 1 - c, fixed_c=c, deferral_bytes=0, spy=spy
+    )
+    values = [bytes([i]) * (1000 + 7 * i) for i in range(3)]
+    for i, v in enumerate(values):
+        cmd = put(f"k{i}", v, cli.cid, i + 1)
+        net.schedule_call(5.0 + 20 * i, lambda now, cmd=cmd: cli.send(0, [cmd]))
+    net.run(300.0)
+    coded = (len(encodes), len(products))
+    for r in replicas:
+        assert r.exec_idx == 3
+        assert [r.kv[f"k{i}"] for i in range(3)] == values
+    lead = replicas[0]
+    rr = balanced_rr(params, c)
+    accepts = [(dst, m) for _, src, dst, m in spy if isinstance(m, wire.Accept)]
+    assert len(accepts) == 3 * (n - 1)
+    for dst, m in accepts:
+        cw = encode(lead.log[m.slot].payload, params.scheme)
+        if full:
+            assert m.shards == {i: cw.shards[i] for i in range(d)}
+        else:
+            assert m.shards == {i: cw.shards[i] for i in sorted(rr.shards_of(dst))}
+        as_rr = wire.Accept(
+            m.sender, m.slot, m.ballot, m.q, m.c, m.n_shards, m.d, m.payload_len, m.vid,
+            encode_bitmap(rr), {i: cw.shards[i] for i in sorted(rr.shards_of(dst))}, m.sent_at,
+        )
+        assert wire.wire_size(m) == wire.wire_size(as_rr)
+    if full:
+        assert coded == (0, 0)
+        assert not any(isinstance(m, wire.Reconstruct) for _, _, _, m in spy)
+    else:
+        assert coded[0] == 3
+
+
+def test_decoded_slots_keep_no_pooled_shards():
+    """Repair pools shards into undecoded slots only: once a value is in
+    hand the pooled shards are dropped, and a late reply adds none."""
+    doc = {
+        "n": 5,
+        "protocol": "crossword",
+        "chooser": "fixed",
+        "fixed_q": 5,
+        "fixed_c": 1,
+        "seed": 3,
+        "gossip": {"deferral_bytes": 0},
+        "snapshot_stride": 0,
+        "workload": {"clients": 2, "duration_ms": 300, "value_mean_bytes": 2000, "key_count": 8},
+    }
+    res = run_scenario(parse_scenario(doc, "<retention>"), drain_ms=300.0)
+    assert check_conservation(res) == []
+    assert sum(1 for t in res.traces if t[0] == "promote") > 10  # repaired by gossip
+    decoded = 0
+    for r in res.replicas:
+        for inst in r.log.values():
+            if inst.status >= Status.COMMITTED_KNOWN:
+                decoded += 1
+                assert inst.payload is not None and inst.gossip_shards == {}
+    assert decoded > 10
+    r = res.replicas[2]
+    slot, inst = next((s, i) for s, i in r.log.items() if i.status == Status.EXECUTED)
+    cw = encode(inst.payload, inst.scheme)
+    late = wire.ReconEntry(
+        slot, True, True, inst.ballot, inst.commit_vid, inst.commit_ballot,
+        inst.scheme.n_shards, inst.scheme.d, inst.payload_len,
+        {i: cw.shards[i] for i in range(inst.scheme.n_shards)},
+    )
+    deliver_reply(r, 3, [late], now=res.net.clock)
+    assert inst.gossip_shards == {} and inst.status == Status.EXECUTED
 
 
 @pytest.mark.xfail(strict=True, reason="known defect: a lease outlives a one-link cut")
@@ -769,3 +860,29 @@ def test_unsettled_follower_holding_a_losing_value_decodes_the_winner():
     deliver_reply(r, 3, [recon_entry(0, won, [3, 4])])
     assert inst.status == Status.EXECUTED
     assert r.kv == {"won": b"w" * 700}
+
+
+def test_full_copy_reproposal_over_a_parity_shard(monkeypatch):
+    """Follower 4 accepted slot 0 at c = 1 under leader 0 and holds parity
+    shard 4 only. Leader 1 re-proposes the same value as a full copy and
+    commits it: the follower keeps both, reports the data stripes as
+    persisted, and decodes them by concatenation."""
+    payload = slot_payload(0, 900)
+    r, env = scripted_follower(rid=4, deferral_bytes=0)
+    deliver_accept(r, 0, payload, c=1)
+    assert set(r.log[0].own_shards) == {4}
+    stripes = encode(payload, r.params.scheme).shards[:3]
+    _, bitmap = slot_policy(r.params, 3)
+    products = _count_gf_products(monkeypatch)
+    env.sent.clear()
+    m = wire.Accept(
+        1, 0, NEW_BALLOT, 3, 3, 5, 3, len(payload), value_id(payload), bitmap,
+        dict(enumerate(stripes)), 2.0,
+    )
+    r.on_message(1, m, 2.0)
+    r.on_persist_done(("ap", 0, NEW_BALLOT, 1), 2.0)
+    ((dst, reply),) = env.sent
+    assert dst == 1 and reply.ok and reply.persisted >= {0, 1, 2}
+    r.on_message(1, wire.Heartbeat(1, NEW_BALLOT, 1, 2.0), 2.0)
+    assert r.log[0].status == Status.EXECUTED and r.kv["k0"] == b"v" * 900
+    assert products == []
