@@ -1,10 +1,13 @@
 """Linearizability check for per-key register histories.
 
-Wing–Gong style search: repeatedly pick an operation whose invocation
+Wing–Gong search with just-in-time candidates (Lowe, "Testing for
+linearizability", 2017): repeatedly pick an operation whose invocation
 precedes every remaining operation's response (so it may legally go first),
 apply it to the register model, and recurse; memoize on (remaining set,
-register value) so equivalent frontiers are explored once. Keys are checked
-independently — each key is its own register.
+register value) so equivalent frontiers are explored once. With the ops
+sorted by invocation, only those overlapping the earliest pending response
+can go next, so a search state costs O(ops in flight), not O(ops on the
+key). Keys are checked independently — each key is its own register.
 
 Verdicts: ("ok", None), ("violation", witness ops), or ("inconclusive",
 reason) when the search budget runs out — a budget exhaustion is explicitly
@@ -64,39 +67,64 @@ class _Budget:
 
 
 def _search_key(ops: list[LinOp], budget: _Budget) -> bool | None:
-    """True = linearizable, False = not, None = budget exhausted."""
+    """True = linearizable, False = not, None = budget exhausted.
+
+    `ops` are sorted by invocation, and none responds before it is invoked.
+    A state is (lo, done, value): `lo` is the first op not yet linearized,
+    `done` the linearized ops past it, `value` the register (None = absent).
+    The candidates to go next are the remaining ops invoked no later than
+    the earliest remaining response. A scan from `lo` that stops at the
+    first op invoked after the running minimum response meets exactly
+    those: every later op is invoked later still and responds after it is
+    invoked, and no op can lower the minimum below the invocation of an op
+    scanned before it."""
     n = len(ops)
-    if n == 0:
-        return True
+    invokes = [op.invoke_ms for op in ops]
     responds = [op.respond_ms if op.respond_ms is not None else INF for op in ops]
-    full = frozenset(range(n))
-    seen: set[tuple[frozenset, str | None]] = set()
-    # stack of (remaining, value); value None = key absent
-    stack: list[tuple[frozenset, str | None]] = [(full, None)]
+    seen: set[tuple[int, frozenset, str | None]] = set()
+    # stack of (lo, done, value, completed ops left); the count follows from
+    # (lo, done), so it stays out of the memo key
+    stack: list[tuple[int, frozenset, str | None, int]] = [
+        (0, frozenset(), None, sum(r != INF for r in responds))
+    ]
     while stack:
-        remaining, value = stack.pop()
-        if all(responds[i] == INF for i in remaining):
+        lo, done, value, left = stack.pop()
+        if left == 0:
             return True  # only pending ops left; they may simply never take effect
-        state = (remaining, value)
+        state = (lo, done, value)
         if state in seen:
             continue
         seen.add(state)
         if not budget.spend():
             return None
-        frontier = min(responds[i] for i in remaining)
-        for i in remaining:
+        frontier = INF
+        candidates = []
+        for i in range(lo, n):
+            if i in done:
+                continue
+            if invokes[i] > frontier:
+                break  # someone else finished before this one began
+            candidates.append(i)
+            if responds[i] < frontier:
+                frontier = responds[i]
+        # pushed last, the earliest candidate is tried first
+        for i in reversed(candidates):
+            if i == lo:
+                nlo = lo + 1
+                while nlo in done:
+                    nlo += 1
+                rest = frozenset(j for j in done if j > nlo) if nlo > lo + 1 else done
+            else:
+                nlo, rest = lo, done | {i}
             op = ops[i]
-            if op.invoke_ms > frontier:
-                continue  # someone else finished before this one began
-            rest = remaining - {i}
+            nleft = left if op.respond_ms is None else left - 1
             if op.kind == "put":
-                stack.append((rest, op.token))
+                stack.append((nlo, rest, op.token, nleft))
                 if op.respond_ms is None:
                     # a pending put may also never take effect
-                    stack.append((rest, value))
-            else:
-                if op.token == value:
-                    stack.append((rest, value))
+                    stack.append((nlo, rest, value, nleft))
+            elif op.token == value:
+                stack.append((nlo, rest, value, nleft))
     return False
 
 
@@ -108,24 +136,40 @@ def _check_ops(ops: list[LinOp], budget: _Budget):
 
 
 def _shrink(ops: list[LinOp], budget_per_try: int) -> list[LinOp]:
-    """Greedy minimization: drop ops one at a time while the remainder still
-    violates."""
+    """Greedy minimization in the manner of delta debugging: drop runs of
+    consecutive ops, halving the run length down to single ops, while the
+    remainder still violates; then keep dropping single ops until none can
+    go. A put whose value a remaining get observed stays: without it the get
+    reads a value never written, which violates on its own and hides the
+    real conflict."""
     current = list(ops)
-    changed = True
-    while changed:
+    size = max(1, len(current) // 2)
+    while True:
         changed = False
-        for i in range(len(current)):
-            trial = current[:i] + current[i + 1 :]
-            if _check_ops(trial, _Budget(budget_per_try)) == "violation":
+        i = 0
+        while i < len(current):
+            head, run, tail = current[:i], current[i : i + size], current[i + size :]
+            observed = {op.token for op in head + tail if op.kind == "get"}
+            kept = [op for op in run if op.kind == "put" and op.token in observed]
+            trial = head + kept + tail
+            if len(kept) < len(run) and (
+                _check_ops(trial, _Budget(budget_per_try)) == "violation"
+            ):
                 current = trial
                 changed = True
-                break
-    return current
+                i += len(kept)
+            else:
+                i += size
+        if size > 1:
+            size //= 2
+        elif not changed:
+            return current
 
 
 def check_linearizable(ops, budget: int = 2_000_000):
     """Check a whole history (any mix of keys). Returns ("ok", None),
-    ("violation", minimal witness ops), or ("inconclusive", reason)."""
+    ("violation", witness ops shrunk by `_shrink`), or ("inconclusive",
+    reason). `budget` caps the distinct search states per key."""
     by_key: dict[str, list[LinOp]] = {}
     for op in ops:
         if op.kind == "get" and op.respond_ms is None:
@@ -175,21 +219,23 @@ def read_history(fh) -> list[LinOp]:
         except json.JSONDecodeError as exc:
             raise ValueError(f"history line {line_no}: not valid JSON: {exc}") from exc
         try:
-            ops.append(
-                LinOp(
-                    client=int(raw["client"]),
-                    seq=int(raw["seq"]),
-                    kind=str(raw["kind"]),
-                    key=str(raw["key"]),
-                    token=raw.get("token"),
-                    invoke_ms=float(raw["invoke_ms"]),
-                    respond_ms=(
-                        float(raw["respond_ms"]) if raw.get("respond_ms") is not None else None
-                    ),
-                )
+            op = LinOp(
+                client=int(raw["client"]),
+                seq=int(raw["seq"]),
+                kind=str(raw["kind"]),
+                key=str(raw["key"]),
+                token=raw.get("token"),
+                invoke_ms=float(raw["invoke_ms"]),
+                respond_ms=(
+                    float(raw["respond_ms"]) if raw.get("respond_ms") is not None else None
+                ),
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"history line {line_no}: bad record: {exc}") from exc
+        if op.respond_ms is not None and op.respond_ms < op.invoke_ms:
+            # the search relies on every op responding after its invocation
+            raise ValueError(f"history line {line_no}: responds before it is invoked")
+        ops.append(op)
     return ops
 
 
