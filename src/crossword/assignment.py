@@ -55,11 +55,9 @@ class ClusterParams:
             raise InvalidParameterError("f must lie in [0, n - m]")
 
     @classmethod
-    def for_cluster(cls, n: int, f: int | None = None) -> "ClusterParams":
+    def for_cluster(cls, n: int) -> "ClusterParams":
         m = (n + 1) // 2
-        if f is None:
-            f = n - m
-        return cls(n=n, m=m, f=f, scheme=CodingScheme(n, m))
+        return cls(n=n, m=m, f=n - m, scheme=CodingScheme(n, m))
 
 
 @dataclass(frozen=True)

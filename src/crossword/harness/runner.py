@@ -6,8 +6,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..assignment import ClusterParams
-from ..protocol import Replica, ReplicaConfig, wire
+from ..protocol import Replica, wire
 from ..protocol.hashing import state_hash
 from ..simnet import SimNet
 from .metrics import MetricsReport, build_report
@@ -46,33 +45,6 @@ class RunResult:
                 _, rid, slot, vid, _plen, _t = ev
                 out.setdefault(slot, {}).setdefault(rid, set()).add(vid)
         return out
-
-
-def replica_config(sc: Scenario, params: ClusterParams) -> ReplicaConfig:
-    return ReplicaConfig(
-        params=params,
-        protocol=sc.protocol,
-        chooser=sc.chooser,
-        chooser_table=sc.chooser_table,
-        fixed_q=sc.fixed_q,
-        fixed_c=sc.fixed_c,
-        heartbeat_ms=sc.heartbeat.interval_ms,
-        election_min_ms=sc.heartbeat.election_min_ms,
-        election_max_ms=sc.heartbeat.election_max_ms,
-        gossip_enabled=sc.gossip.enabled,
-        gossip_cycle_ms=sc.gossip.cycle_ms,
-        deferral_bytes=sc.gossip.deferral_bytes,
-        straggler_cycles=sc.gossip.straggler_cycles,
-        gossip_batching=sc.gossip.batching,
-        batch_ms=sc.batching_ms,
-        lease_enabled=sc.lease.enabled,
-        lease_drift_ms=sc.lease.drift_ms,
-        snapshot_stride=sc.snapshot_stride,
-        healthy_window_ms=sc.healthy_window_ms,
-        follower_reads=sc.follower_reads.enabled,
-        initial_leader=sc.initial_leader,
-        seed=sc.seed,
-    )
 
 
 def _schedule_fault(net: SimNet, ev: FaultEvent, n: int, wstate: WorkloadState) -> None:
@@ -124,8 +96,7 @@ def run_scenario(sc: Scenario, extra_trace=None, drain_ms: float = 0.0) -> RunRe
     """Simulate the scenario. Clients stop issuing at the workload duration;
     `drain_ms` extends the simulation past that point so in-flight commits,
     repair, and execution can settle before state is read."""
-    params = ClusterParams.for_cluster(sc.n, f=sc.f)
-    net = SimNet(seed=sc.seed, size_of=wire.wire_size, payload_of=wire.payload_nbytes)
+    net = SimNet(size_of=wire.wire_size, payload_of=wire.payload_nbytes)
 
     n_readers = sc.follower_reads.readers if sc.follower_reads.enabled else 0
     ids = (
@@ -157,7 +128,7 @@ def run_scenario(sc: Scenario, extra_trace=None, drain_ms: float = 0.0) -> RunRe
             extra_trace(ev)
 
     for i in range(sc.n):
-        r = Replica(net.env(i), replica_config(sc, params), i, trace=trace)
+        r = Replica(net.env(i), sc, i, trace=trace)
         net.add_node(i, r)
         replicas.append(r)
 

@@ -5,10 +5,13 @@ offending field by dotted path."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import yaml
 
+from ..assignment import ClusterParams
+from ..protocol.replica import ReplicaConfig
+from ..quorum import Config, c4_valid
 from ..simnet import LinkParams
 
 GBPS_TO_BYTES_PER_MS = 125_000.0  # 1 Gb/s = 1e9 bits/s = 125_000 bytes/ms
@@ -41,36 +44,6 @@ class WorkloadSpec:
 
 
 @dataclass
-class GossipSpec:
-    enabled: bool = True
-    cycle_ms: float = 20.0
-    deferral_bytes: int = 400_000
-    straggler_cycles: int = 10
-    batching: bool = True
-
-
-@dataclass
-class HeartbeatSpec:
-    interval_ms: float = 20.0
-    election_min_ms: float = 300.0
-    election_max_ms: float = 600.0
-
-
-@dataclass
-class LeaseSpec:
-    enabled: bool = True
-    drift_ms: float = 100.0
-
-
-@dataclass
-class FollowerReadSpec:
-    enabled: bool = False
-    readers: int = 1
-    interval_ms: float = 10.0
-    key: str = "k0"
-
-
-@dataclass
 class LinkSpec:
     delay_ms: float = 4.0
     bandwidth_bytes_per_ms: float = 1.0 * GBPS_TO_BYTES_PER_MS
@@ -94,35 +67,22 @@ class FaultEvent:
     args: dict = field(default_factory=dict)
 
 
-@dataclass
-class Scenario:
-    n: int
-    protocol: str
+@dataclass(kw_only=True)
+class Scenario(ReplicaConfig):
+    """Every replica knob (ReplicaConfig, which holds their defaults), plus
+    the workload, the links and the fault schedule the cluster runs under."""
+
     workload: WorkloadSpec
-    f: int | None = None
-    chooser: str = "regression"
-    chooser_table: tuple[tuple[int, int], ...] = ()
-    fixed_q: int = 0
-    fixed_c: int = 0
-    seed: int = 0
     links: LinkSpec = field(default_factory=LinkSpec)
     persist: LinkSpec = field(
         default_factory=lambda: LinkSpec(delay_ms=0.05, bandwidth_bytes_per_ms=1_000_000.0)
     )
     link_overrides: list[LinkOverride] = field(default_factory=list)
-    gossip: GossipSpec = field(default_factory=GossipSpec)
-    heartbeat: HeartbeatSpec = field(default_factory=HeartbeatSpec)
-    lease: LeaseSpec = field(default_factory=LeaseSpec)
-    follower_reads: FollowerReadSpec = field(default_factory=FollowerReadSpec)
-    batching_ms: float = 1.0
-    snapshot_stride: int = 1000
-    healthy_window_ms: float = 150.0
-    initial_leader: int = 0
     faults: list[FaultEvent] = field(default_factory=list)
 
 
 _PROTOCOLS = ("crossword", "multipaxos", "rspaxos")
-_CHOOSERS = ("regression", "threshold", "fixed")
+_CHOOSERS = ("regression", "fixed")
 _FAULT_KINDS = (
     "crash",
     "restart",
@@ -174,10 +134,10 @@ def _no_strays(raw: dict, known: set[str], path: str) -> None:
             raise ScenarioError(f"{path}.{key}" if path else str(key), "unknown field")
 
 
-def _take(raw: dict, spec_obj, fields: dict, path: str):
-    """Apply `fields` (name -> parser(raw_value, path)) over raw onto spec_obj."""
-    _no_strays(raw, set(fields), path)
-    for name, parse in fields.items():
+def _take(raw: dict, spec_obj, parsers: dict, path: str):
+    """Apply `parsers` (name -> parser(raw_value, path)) over raw onto spec_obj."""
+    _no_strays(raw, set(parsers), path)
+    for name, parse in parsers.items():
         if name in raw:
             setattr(spec_obj, name, parse(raw[name], f"{path}.{name}" if path else name))
     return spec_obj
@@ -205,30 +165,6 @@ def _parse_link(raw, path) -> LinkSpec:
     return spec
 
 
-def _parse_workload(raw, path) -> WorkloadSpec:
-    raw = _mapping(raw, path)
-    w = WorkloadSpec()
-    _take(
-        raw,
-        w,
-        {
-            "put_ratio": lambda v, p: _number(v, p, lo=0.0, hi=1.0),
-            "value_mean_bytes": lambda v, p: _integer(v, p, lo=1),
-            "value_stddev_ratio": lambda v, p: _number(v, p, lo=0.0),
-            "clients": lambda v, p: _integer(v, p, lo=0),
-            "duration_ms": lambda v, p: _number(v, p, lo=1.0),
-            "key_count": lambda v, p: _integer(v, p, lo=1),
-            "key_dist": lambda v, p: _choice(v, p, ("uniform", "zipfian")),
-            "zipf_theta": lambda v, p: _number(v, p, lo=0.0),
-            "retry_ms": lambda v, p: _number(v, p, lo=1.0),
-            "start_ms": lambda v, p: _number(v, p, lo=0.0),
-            "value_mixture": _parse_value_mixture,
-        },
-        path,
-    )
-    return w
-
-
 def _parse_value_mixture(raw, path) -> tuple[tuple[int, float], ...]:
     _expect(isinstance(raw, list) and raw, path, "expected a non-empty list of [size_bytes, weight] pairs")
     out = []
@@ -248,14 +184,50 @@ def _choice(raw, path, options) -> str:
     return raw
 
 
-def _parse_chooser_table(raw, path) -> tuple[tuple[int, int], ...]:
-    _expect(isinstance(raw, list), path, "expected a list of [min_bytes, c] pairs")
-    out = []
-    for i, row in enumerate(raw):
-        rpath = f"{path}[{i}]"
-        _expect(isinstance(row, list) and len(row) == 2, rpath, "expected [min_bytes, c]")
-        out.append((_integer(row[0], f"{rpath}[0]", lo=0), _integer(row[1], f"{rpath}[1]", lo=1)))
-    return tuple(out)
+_WORKLOAD_FIELDS = {
+    "put_ratio": lambda v, p: _number(v, p, lo=0.0, hi=1.0),
+    "value_mean_bytes": lambda v, p: _integer(v, p, lo=1),
+    "value_stddev_ratio": lambda v, p: _number(v, p, lo=0.0),
+    "clients": lambda v, p: _integer(v, p, lo=0),
+    "duration_ms": lambda v, p: _number(v, p, lo=1.0),
+    "key_count": lambda v, p: _integer(v, p, lo=1),
+    "key_dist": lambda v, p: _choice(v, p, ("uniform", "zipfian")),
+    "zipf_theta": lambda v, p: _number(v, p, lo=0.0),
+    "retry_ms": lambda v, p: _number(v, p, lo=1.0),
+    "start_ms": lambda v, p: _number(v, p, lo=0.0),
+    "value_mixture": _parse_value_mixture,
+}
+# the workload fields a set_workload fault may change mid-run
+_SET_WORKLOAD_FIELDS = {
+    name: _WORKLOAD_FIELDS[name]
+    for name in ("put_ratio", "value_mean_bytes", "value_stddev_ratio", "key_count", "key_dist")
+}
+
+# the replica's specs: section name -> field parsers, each with its bound
+_SPECS = {
+    "gossip": {
+        "cycle_ms": lambda v, p: _number(v, p, lo=0.1),
+        "deferral_bytes": lambda v, p: _integer(v, p, lo=0),
+        "straggler_cycles": lambda v, p: _integer(v, p, lo=1),
+        "batching": _boolean,
+    },
+    "heartbeat": {
+        "interval_ms": lambda v, p: _number(v, p, lo=0.1),
+        "election_min_ms": lambda v, p: _number(v, p, lo=1.0),
+        "election_max_ms": lambda v, p: _number(v, p, lo=1.0),
+    },
+    "lease": {"drift_ms": lambda v, p: _number(v, p, lo=0.0)},
+    "follower_reads": {
+        "enabled": _boolean,
+        "readers": lambda v, p: _integer(v, p, lo=1),
+        "interval_ms": lambda v, p: _number(v, p, lo=0.1),
+        "key": lambda v, p: v if isinstance(v, str) and v else _expect(False, p, "expected a key name"),
+    },
+}
+
+
+def _parse_workload(raw, path) -> WorkloadSpec:
+    return _take(_mapping(raw, path), WorkloadSpec(), _WORKLOAD_FIELDS, path)
 
 
 def _parse_fault(raw, path, n: int) -> FaultEvent:
@@ -298,18 +270,7 @@ def _parse_fault(raw, path, n: int) -> FaultEvent:
         _expect("node" in args, f"{path}.node", "required")
         _expect("link" in args, f"{path}.link", "required")
     elif kind == "set_workload":
-        _take(
-            rest,
-            _Bag(args),
-            {
-                "put_ratio": lambda v, p: _number(v, p, lo=0.0, hi=1.0),
-                "value_mean_bytes": lambda v, p: _integer(v, p, lo=1),
-                "value_stddev_ratio": lambda v, p: _number(v, p, lo=0.0),
-                "key_count": lambda v, p: _integer(v, p, lo=1),
-                "key_dist": lambda v, p: _choice(v, p, ("uniform", "zipfian")),
-            },
-            path,
-        )
+        _take(rest, _Bag(args), _SET_WORKLOAD_FIELDS, path)
         _expect(bool(args), path, "set_workload changes at least one field")
     return FaultEvent(at_ms=at, kind=kind, args=args)
 
@@ -329,15 +290,35 @@ def _parse_group(raw, path, n: int) -> list[int]:
     return [_integer(v, f"{path}[{i}]", lo=0, hi=n - 1) for i, v in enumerate(raw)]
 
 
+def _parse_link_overrides(raw, path, n: int) -> list[LinkOverride]:
+    _expect(isinstance(raw, list), path, "expected a list")
+    out = []
+    for i, row in enumerate(raw):
+        p = f"{path}[{i}]"
+        row = _mapping(row, p)
+        _no_strays(row, {"a", "b", "symmetric", "delay_ms", "bandwidth_bytes_per_ms", "bandwidth_gbps"}, p)
+        _expect("a" in row and "b" in row, p, "needs a and b")
+        link = _parse_link({k: v for k, v in row.items() if k not in ("a", "b", "symmetric")}, p)
+        out.append(
+            LinkOverride(
+                a=_integer(row["a"], f"{p}.a", lo=0, hi=n - 1),
+                b=_integer(row["b"], f"{p}.b", lo=0, hi=n - 1),
+                link=link,
+                symmetric=_boolean(row.get("symmetric", True), f"{p}.symmetric"),
+            )
+        )
+    return out
+
+
+def _parse_faults(raw, path, n: int) -> list[FaultEvent]:
+    _expect(isinstance(raw, list), path, "expected a list")
+    faults = [_parse_fault(row, f"{path}[{i}]", n) for i, row in enumerate(raw)]
+    return sorted(faults, key=lambda ev: ev.at_ms)
+
+
 def parse_scenario(doc, source: str = "<scenario>") -> Scenario:
     doc = _mapping(doc, source)
-    known = {
-        "n", "protocol", "workload", "f", "chooser", "chooser_table", "fixed_q",
-        "fixed_c", "seed", "links", "persist", "link_overrides", "gossip",
-        "heartbeat", "lease", "follower_reads", "batching_ms", "snapshot_stride",
-        "healthy_window_ms", "initial_leader", "faults",
-    }
-    _no_strays(doc, known, "")
+    _no_strays(doc, {f.name for f in fields(Scenario)}, "")
     for req in ("n", "protocol", "workload"):
         _expect(req in doc, req, "required")
     n = _integer(doc["n"], "n", lo=3)
@@ -347,107 +328,43 @@ def parse_scenario(doc, source: str = "<scenario>") -> Scenario:
         protocol=_choice(doc["protocol"], "protocol", _PROTOCOLS),
         workload=_parse_workload(doc["workload"], "workload"),
     )
-    if "f" in doc and doc["f"] is not None:
-        sc.f = _integer(doc["f"], "f", lo=0, hi=n - (n + 1) // 2)
-    if "chooser" in doc:
-        sc.chooser = _choice(doc["chooser"], "chooser", _CHOOSERS)
-    if "chooser_table" in doc:
-        sc.chooser_table = _parse_chooser_table(doc["chooser_table"], "chooser_table")
-    if "fixed_q" in doc:
-        sc.fixed_q = _integer(doc["fixed_q"], "fixed_q", lo=0, hi=n)
-    if "fixed_c" in doc:
-        sc.fixed_c = _integer(doc["fixed_c"], "fixed_c", lo=0, hi=n)
+    for name, parsers in _SPECS.items():
+        if name in doc:
+            _take(_mapping(doc[name], name), getattr(sc, name), parsers, name)
+    rest = {k: v for k, v in doc.items() if k not in ("n", "protocol", "workload", *_SPECS)}
+    _take(
+        rest,
+        sc,
+        {
+            "chooser": lambda v, p: _choice(v, p, _CHOOSERS),
+            "fixed_q": lambda v, p: _integer(v, p, lo=0, hi=n),
+            "fixed_c": lambda v, p: _integer(v, p, lo=0, hi=n),
+            "seed": _integer,
+            "links": _parse_link,
+            "persist": _parse_link,
+            "link_overrides": lambda v, p: _parse_link_overrides(v, p, n),
+            "batching_ms": lambda v, p: _number(v, p, lo=0.1),
+            "snapshot_stride": lambda v, p: _integer(v, p, lo=0),
+            "healthy_window_ms": lambda v, p: _number(v, p, lo=1.0),
+            "initial_leader": lambda v, p: _integer(v, p, lo=0, hi=n - 1),
+            "faults": lambda v, p: _parse_faults(v, p, n),
+        },
+        "",
+    )
     if sc.chooser == "fixed" and sc.protocol == "crossword":
         _expect(sc.fixed_q >= 1, "fixed_q", "required when chooser is fixed")
         _expect(sc.fixed_c >= 1, "fixed_c", "required when chooser is fixed")
-    if sc.chooser == "threshold":
-        _expect(bool(sc.chooser_table), "chooser_table", "required when chooser is threshold")
-    if "seed" in doc:
-        sc.seed = _integer(doc["seed"], "seed")
-    if "links" in doc:
-        sc.links = _parse_link(doc["links"], "links")
-    if "persist" in doc:
-        sc.persist = _parse_link(doc["persist"], "persist")
-    if "link_overrides" in doc:
-        raw = doc["link_overrides"]
-        _expect(isinstance(raw, list), "link_overrides", "expected a list")
-        for i, row in enumerate(raw):
-            p = f"link_overrides[{i}]"
-            row = _mapping(row, p)
-            _no_strays(row, {"a", "b", "symmetric", "delay_ms", "bandwidth_bytes_per_ms", "bandwidth_gbps"}, p)
-            _expect("a" in row and "b" in row, p, "needs a and b")
-            link = _parse_link(
-                {k: v for k, v in row.items() if k not in ("a", "b", "symmetric")}, p
-            )
-            sc.link_overrides.append(
-                LinkOverride(
-                    a=_integer(row["a"], f"{p}.a", lo=0, hi=n - 1),
-                    b=_integer(row["b"], f"{p}.b", lo=0, hi=n - 1),
-                    link=link,
-                    symmetric=_boolean(row.get("symmetric", True), f"{p}.symmetric"),
-                )
-            )
-    if "gossip" in doc:
-        _take(
-            _mapping(doc["gossip"], "gossip"),
-            sc.gossip,
-            {
-                "enabled": _boolean,
-                "cycle_ms": lambda v, p: _number(v, p, lo=0.1),
-                "deferral_bytes": lambda v, p: _integer(v, p, lo=0),
-                "straggler_cycles": lambda v, p: _integer(v, p, lo=1),
-                "batching": _boolean,
-            },
-            "gossip",
-        )
-    if "heartbeat" in doc:
-        _take(
-            _mapping(doc["heartbeat"], "heartbeat"),
-            sc.heartbeat,
-            {
-                "interval_ms": lambda v, p: _number(v, p, lo=0.1),
-                "election_min_ms": lambda v, p: _number(v, p, lo=1.0),
-                "election_max_ms": lambda v, p: _number(v, p, lo=1.0),
-            },
-            "heartbeat",
-        )
         _expect(
-            sc.heartbeat.election_min_ms < sc.heartbeat.election_max_ms,
-            "heartbeat.election_max_ms",
-            "must exceed election_min_ms",
+            c4_valid(Config(q=sc.fixed_q, c=sc.fixed_c), ClusterParams.for_cluster(n)),
+            "fixed_q",
+            f"(q, c) = ({sc.fixed_q}, {sc.fixed_c}) is not available under n - m failures:"
+            " needs m <= q <= n and q + c >= n + 1",
         )
-    if "lease" in doc:
-        _take(
-            _mapping(doc["lease"], "lease"),
-            sc.lease,
-            {"enabled": _boolean, "drift_ms": lambda v, p: _number(v, p, lo=0.0)},
-            "lease",
-        )
-    if "follower_reads" in doc:
-        _take(
-            _mapping(doc["follower_reads"], "follower_reads"),
-            sc.follower_reads,
-            {
-                "enabled": _boolean,
-                "readers": lambda v, p: _integer(v, p, lo=1),
-                "interval_ms": lambda v, p: _number(v, p, lo=0.1),
-                "key": lambda v, p: v if isinstance(v, str) and v else _expect(False, p, "expected a key name"),
-            },
-            "follower_reads",
-        )
-    if "batching_ms" in doc:
-        sc.batching_ms = _number(doc["batching_ms"], "batching_ms", lo=0.1)
-    if "snapshot_stride" in doc:
-        sc.snapshot_stride = _integer(doc["snapshot_stride"], "snapshot_stride", lo=0)
-    if "healthy_window_ms" in doc:
-        sc.healthy_window_ms = _number(doc["healthy_window_ms"], "healthy_window_ms", lo=1.0)
-    if "initial_leader" in doc:
-        sc.initial_leader = _integer(doc["initial_leader"], "initial_leader", lo=0, hi=n - 1)
-    if "faults" in doc:
-        raw = doc["faults"]
-        _expect(isinstance(raw, list), "faults", "expected a list")
-        sc.faults = [_parse_fault(row, f"faults[{i}]", n) for i, row in enumerate(raw)]
-        sc.faults.sort(key=lambda ev: ev.at_ms)
+    _expect(
+        sc.heartbeat.election_min_ms < sc.heartbeat.election_max_ms,
+        "heartbeat.election_max_ms",
+        "must exceed election_min_ms",
+    )
     return sc
 
 

@@ -1,7 +1,10 @@
 """Replica state machine, message wire formats, and state hashing."""
 
 from .hashing import state_hash
-from .replica import Replica, ReplicaConfig
+from .replica import FollowerReadSpec, GossipSpec, HeartbeatSpec, LeaseSpec, Replica, ReplicaConfig
 from . import wire
 
-__all__ = ["Replica", "ReplicaConfig", "state_hash", "wire"]
+__all__ = [
+    "FollowerReadSpec", "GossipSpec", "HeartbeatSpec", "LeaseSpec", "Replica",
+    "ReplicaConfig", "state_hash", "wire",
+]

@@ -9,10 +9,17 @@ c >= d every server holds a full copy, the d data stripes, which are slices
 of the value, so neither side does any coding; below d, balanced round-robin
 over the RS codeword. The protocols differ only in how (q, c) is chosen:
 
-- crossword: per slot, by the chooser, on the line q + c = n + 1; its
+- crossword: per slot, on the line q + c = n + 1, by the tuner's
+  regression model (chooser "regression") or pinned (chooser "fixed"); its
   full-copy end is c = d;
 - multipaxos: crossword pinned at (m, m), so always full copies;
-- rspaxos: pinned at c = 1, with a reduced failure budget.
+- rspaxos: pinned at c = 1, with a reduced failure budget. Its followers
+  hold single shards they cannot decode, so they never gossip.
+
+ReplicaConfig names every knob once, in the shape a scenario file uses:
+top-level fields plus the gossip, heartbeat, lease and follower_reads specs.
+A harness Scenario is a ReplicaConfig with the workload, links and faults
+added, and each replica reads it without copying or changing it.
 
 Slot indices are 0-based. commit_idx / exec_idx name the first slot NOT yet
 committed / executed, so slots [0, commit_idx) are committed.
@@ -50,7 +57,10 @@ from ..tuner import RttTuner
 from . import wire
 from .hashing import state_hash
 
-__all__ = ["Instance", "Replica", "ReplicaConfig", "Status", "value_id"]
+__all__ = [
+    "FollowerReadSpec", "GossipSpec", "HeartbeatSpec", "Instance", "LeaseSpec",
+    "Replica", "ReplicaConfig", "Status", "value_id",
+]
 
 
 class Status:
@@ -70,35 +80,58 @@ def value_id(payload: bytes) -> int:
 
 
 @dataclass
-class ReplicaConfig:
-    params: ClusterParams
-    protocol: str = "crossword"  # crossword | multipaxos | rspaxos
-    chooser: str = "regression"  # regression | threshold | fixed
-    chooser_table: tuple[tuple[int, int], ...] = ()  # (min_bytes, c), checked descending
-    fixed_q: int = 0
-    fixed_c: int = 0
-    heartbeat_ms: float = 20.0
+class GossipSpec:
+    """Follower-to-follower shard repair."""
+
+    cycle_ms: float = 20.0
+    deferral_bytes: int = 400_000  # newest log bytes left to in-flight traffic
+    straggler_cycles: int = 10  # unanswered-ask age before routing around a peer
+    batching: bool = True  # one ask per peer per cycle instead of one per slot
+
+
+@dataclass
+class HeartbeatSpec:
+    interval_ms: float = 20.0
     election_min_ms: float = 300.0
     election_max_ms: float = 600.0
-    gossip_enabled: bool = True
-    gossip_cycle_ms: float = 20.0
-    deferral_bytes: int = 400_000
-    straggler_cycles: int = 10
-    gossip_batching: bool = True
-    batch_ms: float = 1.0
-    lease_enabled: bool = True
-    lease_drift_ms: float = 100.0
-    snapshot_stride: int = 1000  # executed slots between snapshots; 0 disables
-    healthy_window_ms: float = 150.0
-    follower_reads: bool = False
-    initial_leader: int = 0
-    seed: int | str = 0
 
-    def __post_init__(self):
-        if self.protocol == "rspaxos":
-            # followers hold single shards they cannot decode; there is no
-            # follower repair path in this mode
-            self.gossip_enabled = False
+
+@dataclass
+class LeaseSpec:
+    """Leader leases for local reads."""
+
+    drift_ms: float = 100.0
+
+
+@dataclass
+class FollowerReadSpec:
+    """Stale local reads served by followers. The replica reads only
+    `enabled`; the other fields shape the harness's reader clients."""
+
+    enabled: bool = False
+    readers: int = 1
+    interval_ms: float = 10.0
+    key: str = "k0"
+
+
+@dataclass(kw_only=True)
+class ReplicaConfig:
+    """Every replica knob with its one default (see the module docstring)."""
+
+    n: int
+    protocol: str = "crossword"  # crossword | multipaxos | rspaxos
+    chooser: str = "regression"  # regression | fixed (crossword only)
+    fixed_q: int = 0
+    fixed_c: int = 0
+    seed: int = 0
+    gossip: GossipSpec = field(default_factory=GossipSpec)
+    heartbeat: HeartbeatSpec = field(default_factory=HeartbeatSpec)
+    lease: LeaseSpec = field(default_factory=LeaseSpec)
+    follower_reads: FollowerReadSpec = field(default_factory=FollowerReadSpec)
+    batching_ms: float = 1.0  # leader-side command batching window
+    snapshot_stride: int = 1000  # executed slots between snapshots; 0 disables
+    healthy_window_ms: float = 150.0  # a peer heard from this recently is healthy
+    initial_leader: int = 0
 
 
 @dataclass
@@ -205,9 +238,9 @@ class Replica:
     def __init__(self, env, cfg: ReplicaConfig, rid: int, trace: Callable | None = None):
         self.env = env
         self.cfg = cfg
-        self.params = cfg.params
+        self.params = ClusterParams.for_cluster(cfg.n)
         self.id = rid
-        self.n = cfg.params.n
+        self.n = cfg.n
         self.peers = [p for p in range(self.n) if p != rid]
         self.trace = trace or (lambda *a: None)
         self._rng = random.Random(f"{cfg.seed}:{rid}:elect")
@@ -278,7 +311,7 @@ class Replica:
         elif kind == "gossip":
             if tag[1] == self._gossip_gen:
                 self._gossip_tick(now)
-                self.env.set_timer(self.cfg.gossip_cycle_ms, tag)
+                self.env.set_timer(self.cfg.gossip.cycle_ms, tag)
 
     def on_persist_done(self, tag: Any, now: float) -> None:
         if tag[0] == "ap":
@@ -323,7 +356,7 @@ class Replica:
 
     def _arm_gossip(self) -> None:
         self._gossip_gen += 1
-        self.env.set_timer(self.cfg.gossip_cycle_ms, ("gossip", self._gossip_gen))
+        self.env.set_timer(self.cfg.gossip.cycle_ms, ("gossip", self._gossip_gen))
 
     # ------------------------------------------------------------ elections
 
@@ -332,7 +365,8 @@ class Replica:
         if initial and self.id == self.cfg.initial_leader:
             delay = 1.0
         else:
-            delay = self._rng.uniform(self.cfg.election_min_ms, self.cfg.election_max_ms)
+            hb = self.cfg.heartbeat
+            delay = self._rng.uniform(hb.election_min_ms, hb.election_max_ms)
         self.env.set_timer(delay, ("elect", self._election_gen))
 
     def _start_election(self, now: float) -> None:
@@ -564,7 +598,7 @@ class Replica:
     def _send_heartbeats(self, now: float) -> None:
         for p in self.peers:
             self.env.send(p, wire.Heartbeat(self.id, self.current_ballot, self.commit_idx, now))
-        self.env.set_timer(self.cfg.heartbeat_ms, ("hb", self.current_ballot))
+        self.env.set_timer(self.cfg.heartbeat.interval_ms, ("hb", self.current_ballot))
 
     def _on_heartbeat(self, src: int, m: wire.Heartbeat, now: float) -> None:
         if m.ballot < self.promised:
@@ -651,7 +685,7 @@ class Replica:
 
     def _on_client_request(self, src: int, m: wire.ClientRequest, now: float) -> None:
         if self.role != LEADER:
-            if self.cfg.follower_reads and all(c.kind == wire.GET for c in m.commands):
+            if self.cfg.follower_reads.enabled and all(c.kind == wire.GET for c in m.commands):
                 entries = [self._read_entry(c) for c in m.commands]
                 self.env.send(src, wire.ClientReply(self.id, entries, wire.NO_REDIRECT))
                 for c in m.commands:
@@ -670,12 +704,7 @@ class Replica:
                 continue
             if self.inflight_seq.get(cmd.client, -1) >= cmd.seq:
                 continue  # already queued or proposed; reply comes on execute
-            if (
-                cmd.kind == wire.GET
-                and self.cfg.lease_enabled
-                and self.exec_idx == self.commit_idx
-                and self._lease_valid(now)
-            ):
+            if cmd.kind == wire.GET and self.exec_idx == self.commit_idx and self._lease_valid(now):
                 entry = self._read_entry(cmd)
                 self.sessions[cmd.client] = (cmd.seq, entry)
                 self.env.send(src, wire.ClientReply(self.id, [entry], wire.NO_REDIRECT))
@@ -687,7 +716,7 @@ class Replica:
             self.pending.extend(fresh)
             if not self._batch_armed:
                 self._batch_armed = True
-                self.env.set_timer(self.cfg.batch_ms, ("batch",))
+                self.env.set_timer(self.cfg.batching_ms, ("batch",))
 
     def _read_entry(self, cmd: wire.Command) -> wire.ReplyEntry:
         val = self.kv.get(cmd.key)
@@ -701,7 +730,7 @@ class Replica:
         fresh = sorted(self.last_reply_from.values(), reverse=True)
         if len(fresh) < need:
             return False
-        horizon = self.cfg.election_min_ms - self.cfg.lease_drift_ms
+        horizon = self.cfg.heartbeat.election_min_ms - self.cfg.lease.drift_ms
         return now - fresh[need - 1] <= horizon
 
     # -------------------------------------------------------------- propose
@@ -711,16 +740,8 @@ class Replica:
             return multipaxos_config(self.params)
         if self.cfg.protocol == "rspaxos":
             return rspaxos_config(self.params)
-        kind = self.cfg.chooser
-        if kind == "fixed":
+        if self.cfg.chooser == "fixed":
             return Config(q=self.cfg.fixed_q, c=self.cfg.fixed_c)
-        if kind == "threshold":
-            c = self.params.m
-            for min_bytes, table_c in sorted(self.cfg.chooser_table, reverse=True):
-                if v_p >= min_bytes:
-                    c = table_c
-                    break
-            return Config(q=self.n + 1 - c, c=c)
         healthy = [
             p for p in self.peers
             if now - self.last_reply_from.get(p, -1e18) <= self.cfg.healthy_window_ms
@@ -986,7 +1007,7 @@ class Replica:
                     and inst.status < Status.COMMITTED_KNOWN
                 ):
                     boundary = slot
-        excess = self._lens.prefix(top) - self.cfg.deferral_bytes
+        excess = self._lens.prefix(top) - self.cfg.gossip.deferral_bytes
         if excess > 0:
             # sum over [s, top] > deferral_bytes <=> sum over [0, s) < excess
             boundary = max(boundary, self._lens.count_below(excess))
@@ -1000,12 +1021,13 @@ class Replica:
         at any point)."""
         out = set()
         expired = []
+        limit = self.cfg.gossip.straggler_cycles
         for slot, asks in self._outstanding.items():
             for peer, (_idxs, cycle) in asks.items():
                 age = self._cycle - cycle
-                if age >= 2 * self.cfg.straggler_cycles:
+                if age >= 2 * limit:
                     expired.append((slot, peer))
-                elif age >= self.cfg.straggler_cycles:
+                elif age >= limit:
                     out.add(peer)
         for slot, peer in expired:
             asks = self._outstanding[slot]
@@ -1019,7 +1041,9 @@ class Replica:
         if self.role == LEADER:
             self._leader_reconstruct_tick(now)
             return
-        if not self.cfg.gossip_enabled or not self.partial_queue:
+        if self.cfg.protocol == "rspaxos" or not self.partial_queue:
+            # rspaxos followers hold single shards they cannot decode: the
+            # mode has no follower repair path
             return
         boundary = self._deferral_boundary()
         stragglers = self._stragglers()
@@ -1083,7 +1107,7 @@ class Replica:
                 if need <= 0:
                     break
         for peer, wants in sorted(plan.items()):
-            if self.cfg.gossip_batching:
+            if self.cfg.gossip.batching:
                 self.env.send(peer, wire.Reconstruct(self.id, wants))
             else:
                 for want in wants:

@@ -12,7 +12,6 @@ trace.
 from __future__ import annotations
 
 import heapq
-import random
 from dataclasses import dataclass, replace
 from typing import Any, Callable, Protocol
 
@@ -53,10 +52,8 @@ _DELIVER, _TIMER, _PERSIST, _CRASH, _RESTART, _CALL = range(6)
 class SimNet:
     def __init__(
         self,
-        seed: int | str = 0,
         size_of: Callable[[Any], int] | None = None,
         payload_of: Callable[[Any], int] | None = None,
-        jitter_frac: float = 0.0,
     ):
         self.clock = 0.0
         self._seq = 0
@@ -68,8 +65,6 @@ class SimNet:
         self.stats: dict[tuple[int, int], LinkStats] = {}
         self.size_of = size_of or (lambda m: getattr(m, "_wire_size", 0))
         self.payload_of = payload_of or (lambda m: 0)
-        self.jitter_frac = jitter_frac
-        self._jitter_rng = random.Random(f"{seed}:jitter")
         self.dropped_msgs = 0
 
     # --- topology ---
@@ -107,10 +102,7 @@ class SimNet:
         start = max(self.clock, self._busy.get((src, dst), 0.0))
         done = start + size / params.bandwidth_bytes_per_ms
         self._busy[(src, dst)] = done
-        delay = params.delay_ms
-        if self.jitter_frac:
-            delay *= 1.0 + self.jitter_frac * (2.0 * self._jitter_rng.random() - 1.0)
-        self._push(done + delay, _DELIVER, (src, dst, msg))
+        self._push(done + params.delay_ms, _DELIVER, (src, dst, msg))
 
     def set_timer(self, node: int, delay_ms: float, tag: Any) -> None:
         self._push(self.clock + delay_ms, _TIMER, (node, tag))

@@ -2,7 +2,6 @@
 network, with a recording client and a message spy hook. Used by the replica
 state-machine tests and the acceptance suite."""
 
-from crossword.assignment import ClusterParams
 from crossword.protocol import Replica, ReplicaConfig, wire
 from crossword.protocol.replica import LEADER
 from crossword.simnet import LinkParams, SimNet
@@ -45,14 +44,13 @@ def get(key, client, seq):
 
 
 def make_cluster(n=3, n_clients=1, spy=None, seed=7, net_params=NET, **cfg_kwargs):
-    params = ClusterParams.for_cluster(n)
-    net = SimNet(seed=seed, size_of=wire.wire_size, payload_of=wire.payload_nbytes)
+    net = SimNet(size_of=wire.wire_size, payload_of=wire.payload_nbytes)
     traces = []
     ids = list(range(n)) + [100 + i for i in range(n_clients)]
     net.set_all_links(ids, net_params, DISK)
     replicas = []
+    cfg = ReplicaConfig(n=n, seed=seed, **cfg_kwargs)
     for i in range(n):
-        cfg = ReplicaConfig(params=params, seed=seed, **cfg_kwargs)
         r = Replica(net.env(i), cfg, i, trace=lambda *a: traces.append(a))
         net.add_node(i, r)
         replicas.append(r)

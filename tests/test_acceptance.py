@@ -42,7 +42,7 @@ from crossword.harness import (
 )
 from crossword.harness.explore import special_points
 from crossword.harness.linearize import from_history
-from crossword.protocol import wire
+from crossword.protocol import GossipSpec, wire
 from crossword.quorum import Config, multipaxos_config
 from crossword.tuner import Datapoint, LinearModel, choose_config, ols_fit
 
@@ -151,9 +151,7 @@ def _durable_after_crashes(q: int, c: int, pair: tuple[int, int], payload: bytes
         chooser="fixed",
         fixed_q=q,
         fixed_c=c,
-        deferral_bytes=0,
-        straggler_cycles=3,
-        gossip_cycle_ms=10.0,
+        gossip=GossipSpec(cycle_ms=10.0, deferral_bytes=0, straggler_cycles=3),
     )
     net.schedule_call(5.0, lambda now: cli.send(0, [put("k", payload, cli.cid, 1)]))
     for node in pair:

@@ -3,8 +3,11 @@ runner determinism and safety checks, the explorer grid, metrics shapes, and
 the CLI subcommands."""
 
 import json
+import re
+from pathlib import Path
 
 import pytest
+import yaml
 
 from crossword.harness import (
     ScenarioError,
@@ -25,6 +28,9 @@ from crossword.harness.linearize import check_linearizable, from_history
 from crossword.harness.workload import ZipfPicker
 from crossword.assignment import ClusterParams
 from crossword.quorum import Config, multipaxos_config, rspaxos_config
+
+
+REPO = Path(__file__).resolve().parent.parent
 
 
 def minimal(n=3, protocol="crossword", **extra):
@@ -75,6 +81,15 @@ def test_minimal_scenario_gets_all_defaults():
         (lambda d: d.update(links={"bandwidth_gbps": 1, "bandwidth_bytes_per_ms": 2}), "links"),
         (lambda d: d.update(heartbeat={"election_min_ms": 500, "election_max_ms": 400}),
          "heartbeat.election_max_ms"),
+        # fixed (q, c) outside the availability region at n = 5
+        (lambda d: d.update(n=5, chooser="fixed", fixed_q=2, fixed_c=1), "fixed_q"),
+        (lambda d: d.update(n=5, chooser="fixed", fixed_q=3, fixed_c=1), "fixed_q"),
+        # knobs that no longer exist
+        (lambda d: d.update(f=1), "f"),
+        (lambda d: d.update(chooser="threshold"), "chooser"),
+        (lambda d: d.update(chooser_table=[[65536, 1]]), "chooser_table"),
+        (lambda d: d.update(lease={"enabled": True}), "lease.enabled"),
+        (lambda d: d.update(gossip={"enabled": True}), "gossip.enabled"),
     ],
 )
 def test_malformed_scenarios_name_the_field(mutate, path):
@@ -104,6 +119,21 @@ def test_fixed_chooser_requires_q_and_c():
     with pytest.raises(ScenarioError) as err:
         parse_scenario(minimal(chooser="fixed"))
     assert err.value.path == "fixed_q"
+
+
+def test_readme_scenario_example_parses():
+    text = (REPO / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```yaml\n(.*?)^```", text, re.S | re.M)
+    assert len(blocks) == 1
+    sc = parse_scenario(yaml.safe_load(blocks[0]), "README.md")
+    assert sc.link_overrides[0].link.delay_ms == 40.0
+
+
+@pytest.mark.parametrize(
+    "path", sorted((REPO / "scenarios").glob("*.yaml")), ids=lambda p: p.name
+)
+def test_shipped_scenarios_load(path):
+    load_scenario(str(path))
 
 
 # ------------------------------------------------------------ workload

@@ -12,7 +12,7 @@ from crossword import erasure
 from crossword.assignment import ClusterParams, balanced_rr, encode_bitmap, slot_policy
 from crossword.erasure import CodingScheme, encode
 from crossword.harness import check_conservation, parse_scenario, run_scenario
-from crossword.protocol import Replica, ReplicaConfig, wire
+from crossword.protocol import GossipSpec, Replica, ReplicaConfig, wire
 from crossword.protocol import replica as replica_mod
 from crossword.protocol.replica import (
     LEADER,
@@ -41,7 +41,7 @@ def test_initial_leader_commits_and_all_execute():
 
 def test_single_shard_config_needs_gossip_to_execute():
     net, replicas, (cli,), traces = make_cluster(
-        n=5, chooser="fixed", fixed_q=5, fixed_c=1, deferral_bytes=0
+        n=5, chooser="fixed", fixed_q=5, fixed_c=1, gossip=GossipSpec(deferral_bytes=0)
     )
     net.schedule_call(5.0, lambda now: cli.send(0, [put("k", b"v" * 900, cli.cid, 1)]))
     net.run(200.0)
@@ -53,7 +53,7 @@ def test_single_shard_config_needs_gossip_to_execute():
 
 def test_deferral_gap_postpones_follower_repair():
     net, replicas, (cli,), _ = make_cluster(
-        n=5, chooser="fixed", fixed_q=5, fixed_c=1, deferral_bytes=10**9
+        n=5, chooser="fixed", fixed_q=5, fixed_c=1, gossip=GossipSpec(deferral_bytes=10**9)
     )
     net.schedule_call(5.0, lambda now: cli.send(0, [put("k", b"v" * 900, cli.cid, 1)]))
     net.run(300.0)
@@ -67,7 +67,7 @@ def test_deferral_gap_postpones_follower_repair():
 def test_gossip_walks_ring_skipping_leader():
     spy = []
     net, replicas, (cli,), _ = make_cluster(
-        n=5, chooser="fixed", fixed_q=5, fixed_c=1, deferral_bytes=0, spy=spy
+        n=5, chooser="fixed", fixed_q=5, fixed_c=1, gossip=GossipSpec(deferral_bytes=0), spy=spy
     )
     net.schedule_call(5.0, lambda now: cli.send(0, [put("k", b"v" * 900, cli.cid, 1)]))
     net.run(200.0)
@@ -84,8 +84,8 @@ def test_gossip_walks_ring_skipping_leader():
 
 def test_straggler_peer_skipped_after_silent_cycles():
     net, replicas, (cli,), _ = make_cluster(
-        n=5, chooser="fixed", fixed_q=4, fixed_c=2, deferral_bytes=0,
-        straggler_cycles=5,
+        n=5, chooser="fixed", fixed_q=4, fixed_c=2,
+        gossip=GossipSpec(deferral_bytes=0, straggler_cycles=5),
     )
     net.schedule_call(5.0, lambda now: cli.send(0, [put("k", b"v" * 900, cli.cid, 1)]))
     net.schedule_crash(30.0, 3)
@@ -159,7 +159,7 @@ def test_multipaxos_strips_stripe_padding(monkeypatch):
     calls = _count_gf_products(monkeypatch)
     spy = []
     net, replicas, (cli,), _ = make_cluster(
-        n=5, protocol="multipaxos", spy=spy, deferral_bytes=0
+        n=5, protocol="multipaxos", spy=spy, gossip=GossipSpec(deferral_bytes=0)
     )
     value = b"odd" * 1667
     net.schedule_call(5.0, lambda now: cli.send(0, [put("k", value, cli.cid, 1)]))
@@ -200,7 +200,8 @@ def test_slot_config_selects_the_shard_policy(monkeypatch, n, full):
     encodes, products = _count_encodes(monkeypatch), _count_gf_products(monkeypatch)
     spy = []
     net, replicas, (cli,), _ = make_cluster(
-        n=n, chooser="fixed", fixed_q=n + 1 - c, fixed_c=c, deferral_bytes=0, spy=spy
+        n=n, chooser="fixed", fixed_q=n + 1 - c, fixed_c=c, gossip=GossipSpec(deferral_bytes=0),
+        spy=spy,
     )
     values = [bytes([i]) * (1000 + 7 * i) for i in range(3)]
     for i, v in enumerate(values):
@@ -440,7 +441,7 @@ def test_restarted_follower_fetches_each_missing_shard_once(c, down_while_writte
     spy = []
     slow = LinkParams(delay_ms=0.5, bandwidth_bytes_per_ms=5_000.0)
     net, replicas, (cli,), _ = make_cluster(
-        n=5, chooser="fixed", fixed_q=6 - c, fixed_c=c, deferral_bytes=0,
+        n=5, chooser="fixed", fixed_q=6 - c, fixed_c=c, gossip=GossipSpec(deferral_bytes=0),
         spy=spy, net_params=slow,
     )
     slots, size, gap = 60, 20_000, 15.0
@@ -521,7 +522,7 @@ class ScriptEnv:
 
 def scripted_follower(rid=2, **cfg):
     env = ScriptEnv()
-    r = Replica(env, ReplicaConfig(params=ClusterParams.for_cluster(5), **cfg), rid)
+    r = Replica(env, ReplicaConfig(n=5, **cfg), rid)
     return r, env
 
 
@@ -585,7 +586,7 @@ def walk_boundary(r):
             ):
                 return slot
             acc += inst.payload_len
-        if acc > r.cfg.deferral_bytes:
+        if acc > r.cfg.gossip.deferral_bytes:
             return slot
         slot -= 1
     return -1
@@ -593,7 +594,7 @@ def walk_boundary(r):
 
 @pytest.mark.parametrize("deferral", [0, 700, 3000, 10**9])
 def test_deferral_boundary_matches_walk(deferral):
-    r, env = scripted_follower(deferral_bytes=deferral, snapshot_stride=8)
+    r, env = scripted_follower(gossip=GossipSpec(deferral_bytes=deferral), snapshot_stride=8)
     seen = []
 
     def check():
@@ -655,7 +656,9 @@ def test_deferral_boundary_matches_walk(deferral):
 def _stalled_follower(straggler_cycles=2):
     """Follower 2 of n = 5 with four committed slots it cannot decode: slots
     0-2 accepted at c = 1 (it holds shard 2), slot 3 never accepted."""
-    r, env = scripted_follower(deferral_bytes=0, straggler_cycles=straggler_cycles)
+    r, env = scripted_follower(
+        gossip=GossipSpec(deferral_bytes=0, straggler_cycles=straggler_cycles)
+    )
     payloads = [slot_payload(s, 120) for s in range(4)]
     for slot in range(3):
         deliver_accept(r, slot, payloads[slot], c=1)
@@ -772,7 +775,7 @@ def test_gossip_wants_pinned():
 def _committed_follower(rid, c, payload):
     """Follower `rid` holding its shards of `payload`, accepted at config c
     as slot 0 and known committed."""
-    r, env = scripted_follower(rid=rid, deferral_bytes=10**9)
+    r, env = scripted_follower(rid=rid, gossip=GossipSpec(deferral_bytes=10**9))
     deliver_accept(r, 0, payload, c=c)
     deliver_heartbeat(r, 1)
     return r, env
@@ -819,7 +822,7 @@ NEW_BALLOT = 11  # leader 1's second ballot at n = 5
 
 
 def _unsettled_follower(c, payload):
-    r, env = scripted_follower(deferral_bytes=0)
+    r, env = scripted_follower(gossip=GossipSpec(deferral_bytes=0))
     deliver_accept(r, 0, payload, c=c)
     r.on_message(1, wire.Heartbeat(1, NEW_BALLOT, 1, 1.0), 1.0)
     inst = r.log[0]
@@ -868,7 +871,7 @@ def test_full_copy_reproposal_over_a_parity_shard(monkeypatch):
     commits it: the follower keeps both, reports the data stripes as
     persisted, and decodes them by concatenation."""
     payload = slot_payload(0, 900)
-    r, env = scripted_follower(rid=4, deferral_bytes=0)
+    r, env = scripted_follower(rid=4, gossip=GossipSpec(deferral_bytes=0))
     deliver_accept(r, 0, payload, c=1)
     assert set(r.log[0].own_shards) == {4}
     stripes = encode(payload, r.params.scheme).shards[:3]

@@ -21,7 +21,7 @@ class Recorder:
 
 
 def two_nodes(delay=0.0, bw=50_000.0):
-    net = SimNet(seed=1, size_of=lambda m: m[0], payload_of=lambda m: 0)
+    net = SimNet(size_of=lambda m: m[0], payload_of=lambda m: 0)
     a, b = Recorder(), Recorder()
     net.add_node(0, a)
     net.add_node(1, b)
@@ -127,7 +127,6 @@ def test_byte_accounting():
 def test_determinism_same_seed_same_trace():
     def run_once():
         net, a, b = two_nodes(delay=2.0)
-        net.jitter_frac = 0.2
         for i in range(20):
             net.send(0, 1, (100 + i, i), 100 + i)
         net.run(50.0)
