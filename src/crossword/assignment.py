@@ -1,11 +1,12 @@
-"""Shard-to-server assignment policies and their bitmap wire form.
+"""Cluster constants and the shard-to-server policy of a slot.
 
-A slot proposed at c shards per server uses `slot_policy(params, c)`. At
-c >= d that is full copies: every server takes the d data stripes, which are
-slices of the value, so no server codes or decodes. Below d it is balanced
-round-robin, which gives server s the c consecutive shards starting at its
-own index (mod n). Unbalanced policies carry arbitrary per-server sets over a
-possibly wider coding scheme.
+Every slot codes over the cluster's one scheme, `ClusterParams.scheme`, and
+its shard layout follows from its c alone, through `slot_policy(params, c)`.
+At c >= d that is full copies: every server takes the d data stripes, which
+are slices of the value, so no server codes or decodes. Below d it is
+balanced round-robin, which gives server s the c consecutive shards starting
+at its own index (mod n). No message carries the layout: a receiver derives
+it from the slot's c.
 """
 
 from __future__ import annotations
@@ -19,12 +20,8 @@ __all__ = [
     "AssignmentPolicy",
     "ClusterParams",
     "InvalidParameterError",
-    "MalformedBitmapError",
     "balanced_rr",
-    "decode_bitmap",
-    "encode_bitmap",
     "slot_policy",
-    "unbalanced",
 ]
 
 
@@ -32,14 +29,10 @@ class InvalidParameterError(ValueError):
     pass
 
 
-class MalformedBitmapError(ValueError):
-    pass
-
-
 @dataclass(frozen=True)
 class ClusterParams:
     """Cluster-wide constants: n servers, majority m, tolerated failures f,
-    and the default (n, m) coding scheme."""
+    and the (n, m) coding scheme every slot uses."""
 
     n: int
     m: int
@@ -63,14 +56,9 @@ class ClusterParams:
 @dataclass(frozen=True)
 class AssignmentPolicy:
     """per_server[s] is the set of shard indices server s is responsible
-    for persisting; n_shards is the codeword width the indices refer to."""
+    for persisting, over the cluster's scheme."""
 
     per_server: tuple[frozenset[int], ...]
-    n_shards: int
-
-    @property
-    def n_servers(self) -> int:
-        return len(self.per_server)
 
     def shards_of(self, server: int) -> frozenset[int]:
         return self.per_server[server]
@@ -82,15 +70,14 @@ def balanced_rr(params: ClusterParams, c: int) -> AssignmentPolicy:
     if not 1 <= c <= params.m:
         raise InvalidParameterError(f"c={c} outside [1, {params.m}]")
     n = params.n
-    per = tuple(
-        frozenset((s + k) % n for k in range(c)) for s in range(n)
+    return AssignmentPolicy(
+        per_server=tuple(frozenset((s + k) % n for k in range(c)) for s in range(n))
     )
-    return AssignmentPolicy(per_server=per, n_shards=params.scheme.n_shards)
 
 
 @lru_cache(maxsize=64)
-def slot_policy(params: ClusterParams, c: int) -> tuple[AssignmentPolicy, bytes]:
-    """The policy of a slot proposed at c shards per server, with its bitmap.
+def slot_policy(params: ClusterParams, c: int) -> AssignmentPolicy:
+    """The policy of a slot proposed at c shards per server.
 
     At c >= d every server takes data stripes 0..d-1: each holds a full
     copy, rebuilt by concatenation. That is d shards per server, as
@@ -99,65 +86,7 @@ def slot_policy(params: ClusterParams, c: int) -> tuple[AssignmentPolicy, bytes]
     shared."""
     d = params.scheme.d
     if c < d:
-        policy = balanced_rr(params, c)
-    elif c <= params.m:
-        policy = AssignmentPolicy(
-            per_server=tuple(frozenset(range(d)) for _ in range(params.n)),
-            n_shards=params.scheme.n_shards,
-        )
-    else:
-        raise InvalidParameterError(f"c={c} outside [1, {params.m}]")
-    return policy, encode_bitmap(policy)
-
-
-def unbalanced(per_server: list[set[int]], scheme: CodingScheme) -> AssignmentPolicy:
-    """Arbitrary per-server shard sets over an explicitly supplied scheme."""
-    for s, shard_set in enumerate(per_server):
-        for idx in shard_set:
-            if not 0 <= idx < scheme.n_shards:
-                raise InvalidParameterError(
-                    f"server {s} references shard {idx} outside scheme width {scheme.n_shards}"
-                )
-    return AssignmentPolicy(
-        per_server=tuple(frozenset(s) for s in per_server),
-        n_shards=scheme.n_shards,
-    )
-
-
-def encode_bitmap(policy: AssignmentPolicy) -> bytes:
-    """Row-major bitmap: one row of ceil(n_shards/8) bytes per server; bit j
-    of row s (most significant bit first) set iff shard j is assigned to
-    server s."""
-    row_bytes = (policy.n_shards + 7) // 8
-    out = bytearray(policy.n_servers * row_bytes)
-    for s, shard_set in enumerate(policy.per_server):
-        base = s * row_bytes
-        for j in shard_set:
-            out[base + j // 8] |= 0x80 >> (j % 8)
-    return bytes(out)
-
-
-@lru_cache(maxsize=256)
-def decode_bitmap(data: bytes, n_servers: int, n_shards: int) -> AssignmentPolicy:
-    """Inverse of encode_bitmap. Memoized: a cluster sends only a handful of
-    distinct bitmaps, and the returned policy is frozen, so it is shared."""
-    row_bytes = (n_shards + 7) // 8
-    if len(data) != n_servers * row_bytes:
-        raise MalformedBitmapError(
-            f"bitmap is {len(data)} bytes, expected {n_servers * row_bytes}"
-        )
-    per = []
-    for s in range(n_servers):
-        base = s * row_bytes
-        shard_set = set()
-        for j in range(n_shards):
-            if data[base + j // 8] & (0x80 >> (j % 8)):
-                shard_set.add(j)
-        per.append(frozenset(shard_set))
-    # stray bits past n_shards in the last byte of a row are not tolerated
-    for s in range(n_servers):
-        base = s * row_bytes
-        for j in range(n_shards, row_bytes * 8):
-            if data[base + j // 8] & (0x80 >> (j % 8)):
-                raise MalformedBitmapError(f"row {s} sets bit {j} past shard width")
-    return AssignmentPolicy(per_server=tuple(per), n_shards=n_shards)
+        return balanced_rr(params, c)
+    if c <= params.m:
+        return AssignmentPolicy(per_server=tuple(frozenset(range(d)) for _ in range(params.n)))
+    raise InvalidParameterError(f"c={c} outside [1, {params.m}]")

@@ -101,12 +101,33 @@ def _expect(cond: bool, path: str, reason: str) -> None:
 
 
 def _number(raw, path, lo=None, hi=None) -> float:
+    if isinstance(raw, str):
+        raise ScenarioError(path, _text_number_reason(raw))
     _expect(isinstance(raw, (int, float)) and not isinstance(raw, bool), path, "expected a number")
     if lo is not None:
         _expect(raw >= lo, path, f"must be >= {lo}")
     if hi is not None:
         _expect(raw <= hi, path, f"must be <= {hi}")
     return float(raw)
+
+
+def _text_number_reason(raw: str) -> str:
+    """The error for a string in a number field. PyYAML follows YAML 1.1,
+    which reads an exponent float only with a dot and a signed exponent:
+    1.0e6 and 1e6 arrive as text, 1.0e+6 as a float."""
+    try:
+        float(raw)
+    except ValueError:
+        return "expected a number"
+    mantissa, e, exp = raw.strip().lower().partition("e")
+    signed = exp[:1] in ("+", "-")
+    if not e or ("." in mantissa and signed):
+        return f"expected a number, got the string {raw!r}"
+    spelled = f"{mantissa if '.' in mantissa else mantissa + '.0'}e{exp if signed else '+' + exp}"
+    return (
+        f"expected a number, got the string {raw!r}: YAML 1.1 reads an exponent float"
+        f" as text unless it has a dot and a signed exponent; write {spelled}"
+    )
 
 
 def _integer(raw, path, lo=None, hi=None) -> int:
@@ -230,7 +251,7 @@ def _parse_workload(raw, path) -> WorkloadSpec:
     return _take(_mapping(raw, path), WorkloadSpec(), _WORKLOAD_FIELDS, path)
 
 
-def _parse_fault(raw, path, n: int) -> FaultEvent:
+def _parse_fault(raw, path, n: int, workload: WorkloadSpec) -> FaultEvent:
     raw = _mapping(raw, path)
     _expect("at_ms" in raw, f"{path}.at_ms", "required")
     _expect("kind" in raw, f"{path}.kind", "required")
@@ -272,6 +293,12 @@ def _parse_fault(raw, path, n: int) -> FaultEvent:
     elif kind == "set_workload":
         _take(rest, _Bag(args), _SET_WORKLOAD_FIELDS, path)
         _expect(bool(args), path, "set_workload changes at least one field")
+        if workload.value_mixture:
+            for name in ("value_mean_bytes", "value_stddev_ratio"):
+                _expect(
+                    name not in args, f"{path}.{name}",
+                    "has no effect: the workload draws value sizes from value_mixture",
+                )
     return FaultEvent(at_ms=at, kind=kind, args=args)
 
 
@@ -310,9 +337,9 @@ def _parse_link_overrides(raw, path, n: int) -> list[LinkOverride]:
     return out
 
 
-def _parse_faults(raw, path, n: int) -> list[FaultEvent]:
+def _parse_faults(raw, path, n: int, workload: WorkloadSpec) -> list[FaultEvent]:
     _expect(isinstance(raw, list), path, "expected a list")
-    faults = [_parse_fault(row, f"{path}[{i}]", n) for i, row in enumerate(raw)]
+    faults = [_parse_fault(row, f"{path}[{i}]", n, workload) for i, row in enumerate(raw)]
     return sorted(faults, key=lambda ev: ev.at_ms)
 
 
@@ -347,7 +374,7 @@ def parse_scenario(doc, source: str = "<scenario>") -> Scenario:
             "snapshot_stride": lambda v, p: _integer(v, p, lo=0),
             "healthy_window_ms": lambda v, p: _number(v, p, lo=1.0),
             "initial_leader": lambda v, p: _integer(v, p, lo=0, hi=n - 1),
-            "faults": lambda v, p: _parse_faults(v, p, n),
+            "faults": lambda v, p: _parse_faults(v, p, n, sc.workload),
         },
         "",
     )

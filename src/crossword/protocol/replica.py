@@ -4,10 +4,13 @@ One object per node, driven entirely by simulator callbacks (messages,
 timers, persist completions). All three protocols share one replication
 path: the leader splits each proposal into shards, sends every server the
 shards its slot's policy names, and commits once check_commit_rr counts q
-replies. The policy follows from the slot's config alone (slot_policy): at
-c >= d every server holds a full copy, the d data stripes, which are slices
-of the value, so neither side does any coding; below d, balanced round-robin
-over the RS codeword. The protocols differ only in how (q, c) is chosen:
+replies. Every slot codes over the cluster's one scheme (params.scheme), and
+its policy follows from its c alone (slot_policy): at c >= d every server
+holds a full copy, the d data stripes, which are slices of the value, so
+neither side does any coding; below d, balanced round-robin over the RS
+codeword. No message carries the layout: an Instance keeps the c it accepted
+or learned (0 = holders unknown), and a reader derives the holders from it.
+The protocols differ only in how (q, c) is chosen:
 
 - crossword: per slot, on the line q + c = n + 1, by the tuner's
   regression model (chooser "regression") or pinned (chooser "fixed"); its
@@ -44,13 +47,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
-from ..assignment import (
-    AssignmentPolicy,
-    ClusterParams,
-    decode_bitmap,
-    encode_bitmap,
-    slot_policy,
-)
+from ..assignment import ClusterParams, slot_policy
 from ..erasure import CodingScheme, encode, encode_shard, reconstruct, shard_len
 from ..quorum import Config, check_commit_rr, multipaxos_config, rspaxos_config
 from ..tuner import RttTuner
@@ -140,12 +137,11 @@ class Instance:
 
     ballot: int = 0  # highest ballot accepted here; 0 = none
     q: int = 0
-    c: int = 0
-    scheme: CodingScheme | None = None
+    c: int = 0  # holders follow from it (slot_policy); 0 = holders unknown
+    sized: bool = False  # payload_len is known
     payload_len: int = 0
-    scheme_vid: int = 0  # vid of the value scheme/payload_len describe
+    sized_vid: int = 0  # vid of the value payload_len describes
     value_id: int = 0  # vid of the acceptance held in own_shards
-    assignment: AssignmentPolicy | None = None
     own_shards: dict[int, bytes] = field(default_factory=dict)  # durable
     gossip_shards: dict[int, bytes] = field(default_factory=dict)  # volatile, commit-vid only
     status: int = Status.NULL
@@ -390,7 +386,7 @@ class Replica:
         entries = []
         for slot in sorted(s for s in self.log if s >= from_slot):
             inst = self.log[slot]
-            if inst.committed and inst.payload is not None and inst.scheme:
+            if inst.committed and inst.payload is not None and inst.sized:
                 # value in hand: re-derived data stripes recover it anywhere
                 entries.append(
                     wire.PrepareEntry(
@@ -398,12 +394,11 @@ class Replica:
                         accepted_ballot=inst.ballot,
                         vid=inst.commit_vid or inst.value_id,
                         committed=True,
+                        sized=True,
                         commit_ballot=inst.commit_ballot,
-                        n_shards=inst.scheme.n_shards,
-                        d=inst.scheme.d,
+                        c=inst.c,
                         payload_len=inst.payload_len,
-                        bitmap=encode_bitmap(inst.assignment) if inst.assignment else b"",
-                        shards=_data_stripes(inst.payload, inst.scheme),
+                        shards=_data_stripes(inst.payload, self.params.scheme),
                     )
                 )
                 continue
@@ -418,11 +413,10 @@ class Replica:
                     accepted_ballot=inst.ballot,
                     vid=inst.value_id,
                     committed=inst.committed,
+                    sized=inst.sized,
                     commit_ballot=inst.commit_ballot,
-                    n_shards=inst.scheme.n_shards if inst.scheme else 0,
-                    d=inst.scheme.d if inst.scheme else 0,
+                    c=inst.c,
                     payload_len=inst.payload_len,
-                    bitmap=encode_bitmap(inst.assignment) if inst.assignment else b"",
                     shards=shards,
                 )
             )
@@ -494,6 +488,7 @@ class Replica:
             for e in entries:
                 by_slot.setdefault(e.slot, []).append(e)
         out: dict[int, tuple[str, bytes | None]] = {}
+        scheme = self.params.scheme
         top_seen = max(by_slot, default=self._prepare_from - 1)
         for slot in range(self._prepare_from, top_seen + 1):
             entries = by_slot.get(slot, [])
@@ -512,10 +507,9 @@ class Replica:
                     out[slot] = ("noop", None)
                 continue
             target = ref.vid
-            scheme = CodingScheme(ref.n_shards, ref.d) if ref.n_shards else self.params.scheme
             pool: dict[int, bytes] = {}
             for e in entries:
-                if e.vid == target and (e.n_shards, e.d) == (scheme.n_shards, scheme.d):
+                if e.vid == target:
                     pool.update(e.shards)
             if len(pool) >= scheme.d:
                 chosen = {k: pool[k] for k in sorted(pool)[: scheme.d]}
@@ -540,13 +534,9 @@ class Replica:
         for e in entries:
             if e.commit_ballot:
                 inst.commit_ballot = max(inst.commit_ballot, e.commit_ballot)
-            self._absorb_remote_shards(
-                slot, inst, e.vid, e.n_shards, e.d, e.payload_len, e.shards
-            )
-            if e.bitmap and inst.assignment is None and e.n_shards == (
-                inst.scheme.n_shards if inst.scheme else 0
-            ):
-                inst.assignment = decode_bitmap(e.bitmap, self.n, e.n_shards)
+            self._absorb_remote_shards(slot, inst, e.vid, e.sized, e.payload_len, e.shards)
+            if not inst.c:
+                inst.c = e.c
         self.partial_queue.add(slot)
 
     def _absorb_remote_shards(
@@ -554,35 +544,28 @@ class Replica:
         slot: int,
         inst: Instance,
         vid: int,
-        n_shards: int,
-        d: int,
+        sized: bool,
         payload_len: int,
         shards: dict[int, bytes],
     ) -> None:
         """Fold one remote slot description into `inst`.
 
-        Geometry (scheme/payload_len) must describe the committed value:
-        adopt it from an entry whose vid matches commit_vid, overriding any
-        geometry inherited from a superseded proposal. Shards pool only when
-        both the vid and the codeword layout agree with what is stored, so a
-        decode never mixes shards from two different proposals."""
+        payload_len must describe the committed value: adopt it from an
+        entry whose vid matches commit_vid, overriding a length inherited
+        from a superseded proposal. Shards pool only when their vid is the
+        committed one and payload_len describes it, so a decode never mixes
+        shards from two different proposals."""
         matched = bool(inst.commit_vid) and vid == inst.commit_vid
-        if n_shards and (
-            inst.scheme is None
-            or (matched and inst.scheme_vid != inst.commit_vid)
-        ):
-            if inst.scheme is None or (inst.scheme.n_shards, inst.scheme.d) != (n_shards, d):
-                inst.gossip_shards.clear()
-            inst.scheme = CodingScheme(n_shards, d)
+        if sized and (not inst.sized or (matched and inst.sized_vid != inst.commit_vid)):
+            inst.sized = True
             self._set_payload_len(slot, inst, payload_len)
-            inst.scheme_vid = vid
+            inst.sized_vid = vid
         if (
             matched
             and shards
             and inst.status < Status.COMMITTED_KNOWN
-            and inst.scheme is not None
-            and inst.scheme_vid == inst.commit_vid
-            and (n_shards, d) == (inst.scheme.n_shards, inst.scheme.d)
+            and inst.sized
+            and inst.sized_vid == inst.commit_vid
         ):
             inst.gossip_shards.update(shards)
 
@@ -646,18 +629,19 @@ class Replica:
         ):
             self._mark_known(slot, inst)
             return
-        if inst.scheme is None:
+        if not inst.sized:
             self.partial_queue.add(slot)
             return
-        if inst.commit_vid and inst.scheme_vid != inst.commit_vid:
-            # geometry describes a superseded proposal; wait for metadata
+        if inst.commit_vid and inst.sized_vid != inst.commit_vid:
+            # payload_len describes a superseded proposal; wait for metadata
             # from a holder of the committed value before decoding
             self.partial_queue.add(slot)
             return
         pool = inst.shard_pool()
-        if len(pool) >= inst.scheme.d:
-            chosen = {k: pool[k] for k in sorted(pool)[: inst.scheme.d]}
-            inst.payload = reconstruct(chosen, inst.scheme, inst.payload_len)
+        scheme = self.params.scheme
+        if len(pool) >= scheme.d:
+            chosen = {k: pool[k] for k in sorted(pool)[: scheme.d]}
+            inst.payload = reconstruct(chosen, scheme, inst.payload_len)
             self._mark_known(slot, inst)
             self.trace("promote", self.id, slot, now)
         else:
@@ -757,7 +741,7 @@ class Replica:
         vid = value_id(payload)
         scheme = self.params.scheme
         config = self._choose_config(len(payload), now)
-        policy, bitmap = slot_policy(self.params, config.c)
+        policy = slot_policy(self.params, config.c)
         if config.c >= scheme.d:
             stripes = _data_stripes(payload, scheme)  # full copies: no coding
         else:
@@ -767,11 +751,10 @@ class Replica:
         inst.ballot = self.current_ballot
         inst.q, inst.c = config.q, config.c
         inst.gossip_shards = {}  # the value is in hand
-        inst.scheme = scheme
+        inst.sized = True
         self._set_payload_len(slot, inst, len(payload))
-        inst.scheme_vid = vid
+        inst.sized_vid = vid
         inst.value_id = vid
-        inst.assignment = policy
         inst.payload = payload
         inst.replies = {}
         inst.sent_sizes = {}
@@ -782,8 +765,7 @@ class Replica:
             inst.status = Status.ACCEPTING
         for p in self.peers:
             msg = wire.Accept(
-                self.id, slot, self.current_ballot, config.q, config.c,
-                scheme.n_shards, scheme.d, len(payload), vid, bitmap,
+                self.id, slot, self.current_ballot, config.q, config.c, len(payload), vid,
                 {i: stripes[i] for i in sorted(policy.shards_of(p))}, now,
             )
             inst.sent_sizes[p] = wire.wire_size(msg)
@@ -843,19 +825,12 @@ class Replica:
         inst = self.log.setdefault(m.slot, Instance())
         self.max_slot = max(self.max_slot, m.slot)
         if m.ballot >= inst.ballot:
-            scheme = CodingScheme(m.n_shards, m.d)
             same_value = m.vid == inst.value_id
-            if inst.scheme is not None and (inst.scheme.n_shards, inst.scheme.d) != (
-                scheme.n_shards,
-                scheme.d,
-            ):
-                inst.gossip_shards.clear()  # pooled under a different codeword layout
             inst.ballot = m.ballot
             inst.q, inst.c = m.q, m.c
-            inst.scheme = scheme
+            inst.sized = True
             self._set_payload_len(m.slot, inst, m.payload_len)
-            inst.scheme_vid = m.vid
-            inst.assignment = decode_bitmap(m.bitmap, self.n, m.n_shards) if m.bitmap else None
+            inst.sized_vid = m.vid
             if same_value:
                 inst.own_shards.update(m.shards)
             else:
@@ -987,7 +962,7 @@ class Replica:
           in a Fenwick tree, so this is one prefix sum and one prefix search,
           O(log slots);
         - the largest slot that is committed but that no accept ever
-          reached (no scheme, not yet decoded): nothing is in flight for it,
+          reached (not sized, not yet decoded): nothing is in flight for it,
           so the gap has nothing to protect. Every such slot is in
           partial_queue, because each path that marks a slot committed ends
           in _try_promote or _note_partial, which queue it while it is not
@@ -1003,7 +978,7 @@ class Replica:
                 if (
                     inst is not None
                     and inst.committed
-                    and inst.scheme is None
+                    and not inst.sized
                     and inst.status < Status.COMMITTED_KNOWN
                 ):
                     boundary = slot
@@ -1047,6 +1022,7 @@ class Replica:
             return
         boundary = self._deferral_boundary()
         stragglers = self._stragglers()
+        scheme = self.params.scheme
         ring = [(self.id + step) % self.n for step in range(1, self.n)]
         orders: dict[int, list[int]] = {}  # ring position -> peers to ask, in order
         plan: dict[int, list[tuple[int, frozenset[int], int]]] = {}
@@ -1054,7 +1030,6 @@ class Replica:
             inst = self.log.get(slot)
             if inst is None or not inst.committed or inst.status >= Status.COMMITTED_KNOWN:
                 continue
-            scheme = inst.scheme or self.params.scheme
             # while the committed vid is unknown, the durable shards count
             # (they most likely carry the committed value), but some peer
             # must still be asked for at least one shard: its reply settles
@@ -1074,7 +1049,8 @@ class Replica:
             # holders unknown (the slot was learned from a heartbeat): any
             # peer can answer, so each slot starts at its own ring position
             # and a catch-up burst splits across the peers
-            start = slot % len(ring) if inst.assignment is None else 0
+            policy = slot_policy(self.params, inst.c) if inst.c else None
+            start = slot % len(ring) if policy is None else 0
             candidates = orders.get(start)
             if candidates is None:
                 walk = ring[start:] + ring[:start]
@@ -1084,8 +1060,8 @@ class Replica:
                 candidates += [p for p in walk if p == self.leader_hint and p not in stragglers]
                 orders[start] = candidates
             for peer in candidates:
-                if inst.assignment is not None:
-                    held = set(inst.assignment.shards_of(peer))
+                if policy is not None:
+                    held = set(policy.shards_of(peer))
                 else:
                     held = set(range(scheme.n_shards))
                 avail = held - expected
@@ -1118,14 +1094,14 @@ class Replica:
         knows committed but cannot decode, so the whole prefix becomes
         servable again."""
         wants = []
+        scheme = self.params.scheme
         for slot in sorted(self.partial_queue):
             inst = self.log.get(slot)
             if inst is None or not inst.committed or inst.status >= Status.COMMITTED_KNOWN:
                 continue
-            scheme = inst.scheme or self.params.scheme
             have = frozenset(inst.shard_pool())
             # at least one: a slot that holds d shards but waits for the
-            # committed value's geometry still needs a reply carrying it
+            # committed value's payload_len still needs a reply carrying it
             need = max(scheme.d - len(have), 1)
             wants.append((slot, frozenset(range(scheme.n_shards)) - have, need))
         if not wants:
@@ -1135,12 +1111,12 @@ class Replica:
 
     def _on_reconstruct(self, src: int, m: wire.Reconstruct, now: float) -> None:
         entries = []
+        scheme = self.params.scheme
         for slot, idxs, need in m.wants:
             inst = self.log.get(slot)
             if inst is None or not inst.committed:
-                entries.append(wire.ReconEntry(slot, False, False, 0, 0, 0, 0, 0, 0, {}))
+                entries.append(wire.ReconEntry(slot, False, False, False, 0, 0, 0, 0, {}))
                 continue
-            scheme = inst.scheme or self.params.scheme
             if inst.payload is not None and inst.status >= Status.COMMITTED_KNOWN:
                 # lowest indices first: the data stripes, which are slices of
                 # the value and cost no coding to send or to decode
@@ -1148,8 +1124,8 @@ class Replica:
                 shards = {i: encode_shard(inst.payload, scheme, i) for i in picked}
                 entries.append(
                     wire.ReconEntry(
-                        slot, True, True, inst.ballot, inst.commit_vid or inst.value_id,
-                        inst.commit_ballot, scheme.n_shards, scheme.d, inst.payload_len, shards,
+                        slot, True, True, True, inst.ballot, inst.commit_vid or inst.value_id,
+                        inst.commit_ballot, inst.payload_len, shards,
                     )
                 )
             else:
@@ -1158,11 +1134,8 @@ class Replica:
                 held = {i: inst.own_shards[i] for i in picked}
                 entries.append(
                     wire.ReconEntry(
-                        slot, bool(held), False, inst.ballot, inst.value_id,
-                        inst.commit_ballot,
-                        scheme.n_shards if inst.scheme else 0,
-                        scheme.d if inst.scheme else 0,
-                        inst.payload_len, held,
+                        slot, bool(held), False, inst.sized, inst.ballot, inst.value_id,
+                        inst.commit_ballot, inst.payload_len, held,
                     )
                 )
         self.env.send(src, wire.ReconstructReply(self.id, entries))
@@ -1192,9 +1165,7 @@ class Replica:
                     inst.commit_vid = e.vid
                 elif e.commit_ballot and e.accepted_ballot >= e.commit_ballot:
                     inst.commit_vid = e.vid
-            self._absorb_remote_shards(
-                e.slot, inst, e.vid, e.n_shards, e.d, e.payload_len, e.shards
-            )
+            self._absorb_remote_shards(e.slot, inst, e.vid, e.sized, e.payload_len, e.shards)
             self._try_promote(e.slot, inst, now)
             changed = True
         if changed:

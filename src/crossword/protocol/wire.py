@@ -142,6 +142,13 @@ class _Reader:
     def u8(self):
         return self._take("!B", 1)
 
+    def flags(self, defined: int) -> int:
+        """A u8 of flag bits; a set bit outside `defined` is malformed."""
+        v = self._take("!B", 1)
+        if v & ~defined:
+            raise MalformedMessageError(f"undefined flag bits {v & ~defined:#04x}")
+        return v
+
     def u16(self):
         return self._take("!H", 2)
 
@@ -206,30 +213,29 @@ class PrepareEntry:
     accepted_ballot: int
     vid: int  # value identity: digest of the proposed payload
     committed: bool
+    sized: bool  # payload_len is known
     commit_ballot: int  # 0 = not known exactly
-    n_shards: int
-    d: int
+    c: int  # shards per server of the acceptance; 0 = none accepted or learned
     payload_len: int
-    bitmap: bytes
     shards: dict[int, bytes]
 
     def _body(self, w: _Writer):
         w.u64(self.slot)
         w.u64(self.accepted_ballot)
         w.u64(self.vid)
-        w.u8(1 if self.committed else 0)
+        w.u8((1 if self.committed else 0) | (2 if self.sized else 0))
         w.u64(self.commit_ballot)
-        w.u16(self.n_shards)
-        w.u16(self.d)
+        w.u8(self.c)
         w.u32(self.payload_len)
-        w.blob(self.bitmap)
         w.shards(self.shards)
 
     @classmethod
     def _parse(cls, r: _Reader):
+        slot, accepted_ballot, vid = r.u64(), r.u64(), r.u64()
+        flags = r.flags(0b11)
         return cls(
-            r.u64(), r.u64(), r.u64(), r.u8() == 1, r.u64(), r.u16(), r.u16(),
-            r.u32(), r.blob(), r.shards(),
+            slot, accepted_ballot, vid, bool(flags & 1), bool(flags & 2), r.u64(), r.u8(),
+            r.u32(), r.shards(),
         )
 
 
@@ -263,17 +269,17 @@ class PrepareReply(_Message):
 
 @dataclass
 class Accept(_Message):
+    """A proposal's shards for one server. The slot's layout, and so which
+    shards the receiver gets, follows from c (assignment.slot_policy)."""
+
     sender: int
     slot: int
     ballot: int
     q: int
     c: int
-    n_shards: int
-    d: int
     payload_len: int
     vid: int  # value identity: digest of the whole payload
-    bitmap: bytes
-    shards: dict[int, bytes]  # the receiver's slice of the assignment
+    shards: dict[int, bytes]  # the receiver's slice of the slot's policy
     sent_at: float
 
     def _body(self, w: _Writer):
@@ -281,19 +287,15 @@ class Accept(_Message):
         w.u64(self.ballot)
         w.u8(self.q)
         w.u8(self.c)
-        w.u16(self.n_shards)
-        w.u16(self.d)
         w.u32(self.payload_len)
         w.u64(self.vid)
-        w.blob(self.bitmap)
         w.shards(self.shards)
         w.f64(self.sent_at)
 
     @classmethod
     def _parse(cls, sender, r: _Reader):
         return cls(
-            sender, r.u64(), r.u64(), r.u8(), r.u8(), r.u16(), r.u16(),
-            r.u32(), r.u64(), r.blob(), r.shards(), r.f64(),
+            sender, r.u64(), r.u64(), r.u8(), r.u8(), r.u32(), r.u64(), r.shards(), r.f64(),
         )
 
     def payload_nbytes(self) -> int:
@@ -387,32 +389,33 @@ class ReconEntry:
     slot: int
     has_data: bool
     authoritative: bool  # responder decoded the value; shards re-derived from it
+    sized: bool  # payload_len is known
     accepted_ballot: int
     vid: int  # identity of the value the shards belong to
     commit_ballot: int  # 0 = not known exactly
-    n_shards: int
-    d: int
     payload_len: int
     shards: dict[int, bytes]
 
     def _body(self, w: _Writer):
         w.u64(self.slot)
-        w.u8((1 if self.has_data else 0) | (2 if self.authoritative else 0))
+        w.u8(
+            (1 if self.has_data else 0)
+            | (2 if self.authoritative else 0)
+            | (4 if self.sized else 0)
+        )
         w.u64(self.accepted_ballot)
         w.u64(self.vid)
         w.u64(self.commit_ballot)
-        w.u16(self.n_shards)
-        w.u16(self.d)
         w.u32(self.payload_len)
         w.shards(self.shards)
 
     @classmethod
     def _parse(cls, r: _Reader):
         slot = r.u64()
-        flags = r.u8()
+        flags = r.flags(0b111)
         return cls(
-            slot, bool(flags & 1), bool(flags & 2), r.u64(), r.u64(), r.u64(),
-            r.u16(), r.u16(), r.u32(), r.shards(),
+            slot, bool(flags & 1), bool(flags & 2), bool(flags & 4), r.u64(), r.u64(), r.u64(),
+            r.u32(), r.shards(),
         )
 
 

@@ -1,8 +1,10 @@
-"""Acceptance-pattern algebra and commit safety conditions.
+"""Acceptance-pattern algebra and the commit rule.
 
 An acceptance pattern maps each replying server to the shard set it has made
-durable for one log slot. Commit requires enough nodes (majority for ballot
-safety) and enough shard coverage to survive f further failures.
+durable for one log slot. A slot may commit once a majority has replied (for
+ballot safety) and any f further failures leave d distinct shards
+(`subcover`). Under the layouts `slot_policy` gives, that reduces to counting
+q replies (`check_commit_rr`) for every (q, c) that `c4_valid` admits.
 """
 
 from __future__ import annotations
@@ -11,32 +13,22 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Mapping
 
-from .assignment import ClusterParams, balanced_rr
+from .assignment import ClusterParams
 
 __all__ = [
     "AcceptancePattern",
     "Config",
-    "InvalidConfigError",
     "c4_valid",
     "candidate_configs",
-    "check_commit_general",
     "check_commit_rr",
-    "check_config",
     "cover",
     "multipaxos_config",
     "nodes",
     "rspaxos_config",
-    "rspaxos_f",
-    "rr_pattern",
     "subcover",
-    "subcover_rr_bound",
 ]
 
 AcceptancePattern = Mapping[int, frozenset[int]]
-
-
-class InvalidConfigError(ValueError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -45,16 +37,6 @@ class Config:
 
     q: int
     c: int
-
-
-def check_config(config: Config, params: ClusterParams) -> Config:
-    """Range validation: 1 <= c <= m and m <= q <= n. Availability under f
-    failures is a separate, stronger predicate (c4_valid)."""
-    if not 1 <= config.c <= params.m:
-        raise InvalidConfigError(f"c={config.c} outside [1, {params.m}]")
-    if not params.m <= config.q <= params.n:
-        raise InvalidConfigError(f"q={config.q} outside [{params.m}, {params.n}]")
-    return config
 
 
 def nodes(ap: AcceptancePattern) -> int:
@@ -87,23 +69,6 @@ def subcover(ap: AcceptancePattern, f: int) -> int:
     return best
 
 
-def subcover_rr_bound(q: int, c: int, f: int) -> int:
-    """Lower bound on subcover for any q-reply pattern under balanced
-    round-robin with c shards per server; met with equality when the
-    replying servers are consecutive."""
-    return q - f + c - 1
-
-
-def check_commit_general(ap: AcceptancePattern, params: ClusterParams, f: int | None = None) -> bool:
-    """Slot may commit iff >= m nodes accepted and any f of them can fail
-    without dropping reachable coverage below d."""
-    if f is None:
-        f = params.f
-    if nodes(ap) < params.m:
-        return False
-    return subcover(ap, f) >= params.scheme.d
-
-
 def check_commit_rr(config: Config, nodes_replied: int) -> bool:
     """Balanced round-robin fast path: the pattern shape is fixed by c, so
     counting replies suffices. Config validity is enforced at construction,
@@ -132,14 +97,3 @@ def multipaxos_config(params: ClusterParams) -> Config:
 def rspaxos_config(params: ClusterParams) -> Config:
     p = params.scheme.p
     return Config(q=params.m + (p + 1) // 2, c=1)
-
-
-def rspaxos_f(params: ClusterParams) -> int:
-    return params.scheme.p // 2
-
-
-def rr_pattern(params: ClusterParams, c: int, servers: list[int]) -> dict[int, frozenset[int]]:
-    """Acceptance pattern in which each listed server vouches for its full
-    balanced round-robin slice."""
-    policy = balanced_rr(params, c)
-    return {s: policy.shards_of(s) for s in servers}

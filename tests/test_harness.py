@@ -66,6 +66,14 @@ def test_minimal_scenario_gets_all_defaults():
     assert sc.links.bandwidth_bytes_per_ms == 125_000.0  # 1 Gb/s
 
 
+def _mean_over_mixture(doc):
+    doc["workload"]["value_mixture"] = [[64, 0.5], [4096, 0.5]]
+    doc["faults"] = [
+        {"at_ms": 9, "kind": "crash", "node": 1},
+        {"at_ms": 5, "kind": "set_workload", "put_ratio": 0.5, "value_mean_bytes": 8},
+    ]
+
+
 @pytest.mark.parametrize(
     "mutate, path",
     [
@@ -90,6 +98,8 @@ def test_minimal_scenario_gets_all_defaults():
         (lambda d: d.update(chooser_table=[[65536, 1]]), "chooser_table"),
         (lambda d: d.update(lease={"enabled": True}), "lease.enabled"),
         (lambda d: d.update(gossip={"enabled": True}), "gossip.enabled"),
+        # a mean size a value mixture would ignore
+        (_mean_over_mixture, "faults[1].value_mean_bytes"),
     ],
 )
 def test_malformed_scenarios_name_the_field(mutate, path):
@@ -98,6 +108,18 @@ def test_malformed_scenarios_name_the_field(mutate, path):
     with pytest.raises(ScenarioError) as err:
         parse_scenario(doc)
     assert err.value.path == path
+
+
+def test_yaml_float_read_as_text_is_named():
+    """YAML 1.1 reads 1.0e6 as a string; the error says so, and names the
+    spelling it reads as a float."""
+    doc = minimal(persist=yaml.safe_load("{bandwidth_bytes_per_ms: 1.0e6}"))
+    with pytest.raises(ScenarioError) as err:
+        parse_scenario(doc)
+    assert err.value.path == "persist.bandwidth_bytes_per_ms"
+    assert "'1.0e6'" in err.value.reason and "1.0e+6" in err.value.reason
+    doc["persist"] = yaml.safe_load("{bandwidth_bytes_per_ms: 1.0e+6}")
+    assert parse_scenario(doc).persist.bandwidth_bytes_per_ms == 1_000_000.0
 
 
 def test_scenario_yaml_file_round_trip(tmp_path):

@@ -1,5 +1,7 @@
 """Quorum algebra tests. subcover's brute force is itself the oracle for the
-closed-form bound and for the availability region."""
+closed-form bound and for the availability region; the general commit
+condition over any acceptance pattern, the round-robin patterns and the
+config range check below are reference oracles that only these tests use."""
 
 import itertools
 
@@ -7,25 +9,61 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from crossword.assignment import ClusterParams, balanced_rr, unbalanced
-from crossword.erasure import CodingScheme
+from crossword.assignment import ClusterParams, balanced_rr
 from crossword.quorum import (
+    AcceptancePattern,
     Config,
-    InvalidConfigError,
     c4_valid,
     candidate_configs,
-    check_commit_general,
     check_commit_rr,
-    check_config,
     cover,
     multipaxos_config,
     nodes,
-    rr_pattern,
     rspaxos_config,
-    rspaxos_f,
     subcover,
-    subcover_rr_bound,
 )
+
+
+class InvalidConfigError(ValueError):
+    pass
+
+
+def check_config(config: Config, params: ClusterParams) -> Config:
+    """Range validation: 1 <= c <= m and m <= q <= n. Availability under f
+    failures is a separate, stronger predicate (c4_valid)."""
+    if not 1 <= config.c <= params.m:
+        raise InvalidConfigError(f"c={config.c} outside [1, {params.m}]")
+    if not params.m <= config.q <= params.n:
+        raise InvalidConfigError(f"q={config.q} outside [{params.m}, {params.n}]")
+    return config
+
+
+def subcover_rr_bound(q: int, c: int, f: int) -> int:
+    """Lower bound on subcover for any q-reply pattern under balanced
+    round-robin with c shards per server; met with equality when the
+    replying servers are consecutive."""
+    return q - f + c - 1
+
+
+def check_commit_general(ap: AcceptancePattern, params: ClusterParams, f: int | None = None) -> bool:
+    """Slot may commit iff >= m nodes accepted and any f of them can fail
+    without dropping reachable coverage below d."""
+    if f is None:
+        f = params.f
+    if nodes(ap) < params.m:
+        return False
+    return subcover(ap, f) >= params.scheme.d
+
+
+def rspaxos_f(params: ClusterParams) -> int:
+    return params.scheme.p // 2
+
+
+def rr_pattern(params: ClusterParams, c: int, servers: list[int]) -> dict[int, frozenset[int]]:
+    """Acceptance pattern in which each listed server vouches for its full
+    balanced round-robin slice."""
+    policy = balanced_rr(params, c)
+    return {s: policy.shards_of(s) for s in servers}
 
 
 def fs(*xs):
@@ -146,21 +184,15 @@ def test_region_formula_matches_brute_force_small():
 
 
 def test_unbalanced_commit_example():
-    # 5 servers over (8,5)-coding; heavier shares on the first two followers
-    scheme = CodingScheme(8, 5)
-    pol = unbalanced(
-        [{0, 1, 2, 3, 4}, {0, 1, 2, 3, 4}, {3, 4, 5, 6, 7}, {5, 6, 7}, {7}], scheme
-    )
+    # 5 servers over an (8, 5) code (d = 5); heavier shares on the first
+    # two followers
+    d = 5
     params = ClusterParams.for_cluster(5)
-
-    def ap_of(servers):
-        return {s: pol.shards_of(s) for s in servers}
-
-    strong = ap_of([0, 1, 2])
-    weak = ap_of([0, 3, 4])
+    strong = {0: fs(0, 1, 2, 3, 4), 1: fs(0, 1, 2, 3, 4), 2: fs(3, 4, 5, 6, 7)}
+    weak = {0: fs(0, 1, 2, 3, 4), 3: fs(5, 6, 7), 4: fs(7)}
     assert subcover(strong, 2) >= 5
-    assert nodes(strong) >= params.m and subcover(strong, 2) >= scheme.d
-    assert subcover(weak, 2) < scheme.d
+    assert nodes(strong) >= params.m and subcover(strong, 2) >= d
+    assert subcover(weak, 2) < d
 
 
 def test_multipaxos_and_candidates_always_commit_at_full_f():

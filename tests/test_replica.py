@@ -9,7 +9,7 @@ not yet know which value its slot committed, and a full-copy re-proposal."""
 import pytest
 
 from crossword import erasure
-from crossword.assignment import ClusterParams, balanced_rr, encode_bitmap, slot_policy
+from crossword.assignment import ClusterParams, balanced_rr, slot_policy
 from crossword.erasure import CodingScheme, encode
 from crossword.harness import check_conservation, parse_scenario, run_scenario
 from crossword.protocol import GossipSpec, Replica, ReplicaConfig, wire
@@ -223,8 +223,8 @@ def test_slot_config_selects_the_shard_policy(monkeypatch, n, full):
         else:
             assert m.shards == {i: cw.shards[i] for i in sorted(rr.shards_of(dst))}
         as_rr = wire.Accept(
-            m.sender, m.slot, m.ballot, m.q, m.c, m.n_shards, m.d, m.payload_len, m.vid,
-            encode_bitmap(rr), {i: cw.shards[i] for i in sorted(rr.shards_of(dst))}, m.sent_at,
+            m.sender, m.slot, m.ballot, m.q, m.c, m.payload_len, m.vid,
+            {i: cw.shards[i] for i in sorted(rr.shards_of(dst))}, m.sent_at,
         )
         assert wire.wire_size(m) == wire.wire_size(as_rr)
     if full:
@@ -260,11 +260,11 @@ def test_decoded_slots_keep_no_pooled_shards():
     assert decoded > 10
     r = res.replicas[2]
     slot, inst = next((s, i) for s, i in r.log.items() if i.status == Status.EXECUTED)
-    cw = encode(inst.payload, inst.scheme)
+    scheme = r.params.scheme
+    cw = encode(inst.payload, scheme)
     late = wire.ReconEntry(
-        slot, True, True, inst.ballot, inst.commit_vid, inst.commit_ballot,
-        inst.scheme.n_shards, inst.scheme.d, inst.payload_len,
-        {i: cw.shards[i] for i in range(inst.scheme.n_shards)},
+        slot, True, True, True, inst.ballot, inst.commit_vid, inst.commit_ballot,
+        inst.payload_len, {i: cw.shards[i] for i in range(scheme.n_shards)},
     )
     deliver_reply(r, 3, [late], now=res.net.clock)
     assert inst.gossip_shards == {} and inst.status == Status.EXECUTED
@@ -377,9 +377,9 @@ def test_takeover_merges_shards_across_ballots_by_value():
 
     def entry(ballot, idxs, slot=0):
         return wire.PrepareEntry(
-            slot=slot, accepted_ballot=ballot, vid=vid, committed=False,
-            commit_ballot=0, n_shards=5, d=3, payload_len=len(payload),
-            bitmap=b"", shards={i: cw.shards[i] for i in idxs},
+            slot=slot, accepted_ballot=ballot, vid=vid, committed=False, sized=True,
+            commit_ballot=0, c=0, payload_len=len(payload),
+            shards={i: cw.shards[i] for i in idxs},
         )
 
     r._prepare_from = 0
@@ -401,9 +401,9 @@ def test_takeover_merges_shards_across_ballots_by_value():
     r._votes = {
         1: [
             wire.PrepareEntry(
-                slot=0, accepted_ballot=12, vid=value_id(other), committed=False,
-                commit_ballot=0, n_shards=5, d=3, payload_len=len(other),
-                bitmap=b"", shards={0: ocw.shards[0]},
+                slot=0, accepted_ballot=12, vid=value_id(other), committed=False, sized=True,
+                commit_ballot=0, c=0, payload_len=len(other),
+                shards={0: ocw.shards[0]},
             )
         ],
         2: [entry(7, [1, 2])],
@@ -532,13 +532,11 @@ def slot_payload(slot, size):
 
 def deliver_accept(r, slot, payload, c, now=1.0):
     """Leader 0's Accept of `payload` at config c, persisted at once."""
-    scheme = r.params.scheme
-    policy = balanced_rr(r.params, c)
-    cw = encode(payload, scheme)
+    policy = slot_policy(r.params, c)
+    cw = encode(payload, r.params.scheme)
     own = {i: cw.shards[i] for i in sorted(policy.shards_of(r.id))}
     m = wire.Accept(
-        0, slot, BALLOT, r.n + 1 - c, c, scheme.n_shards, scheme.d,
-        len(payload), value_id(payload), encode_bitmap(policy), own, now,
+        0, slot, BALLOT, r.n + 1 - c, c, len(payload), value_id(payload), own, now,
     )
     r.on_message(0, m, now)
     r.on_persist_done(("ap", slot, BALLOT, 0), now)
@@ -552,13 +550,13 @@ def recon_entry(slot, payload, idxs):
     scheme = CodingScheme(5, 3)
     cw = encode(payload, scheme)
     return wire.ReconEntry(
-        slot, True, False, BALLOT, value_id(payload), BALLOT, 5, 3, len(payload),
+        slot, True, False, True, BALLOT, value_id(payload), BALLOT, len(payload),
         {i: cw.shards[i] for i in idxs},
     )
 
 
 def no_data(slot):
-    return wire.ReconEntry(slot, False, False, 0, 0, 0, 0, 0, 0, {})
+    return wire.ReconEntry(slot, False, False, False, 0, 0, 0, 0, {})
 
 
 def deliver_reply(r, src, entries, now=1.0):
@@ -581,7 +579,7 @@ def walk_boundary(r):
         if inst is not None:
             if (
                 inst.committed
-                and inst.scheme is None
+                and not inst.sized
                 and inst.status < Status.COMMITTED_KNOWN
             ):
                 return slot
@@ -611,8 +609,8 @@ def test_deferral_boundary_matches_walk(deferral):
     # commits learned by heartbeat alone: slots 6 and 7 saw no Accept
     deliver_heartbeat(r, 8)
     check()
-    assert r.log[7].scheme is None and 7 in r.partial_queue
-    # gossip hands slot 6 its geometry, then slot 0 enough shards to decode
+    assert not r.log[7].sized and 7 in r.partial_queue
+    # gossip hands slot 6 its payload_len, then slot 0 enough shards to decode
     payloads[6] = slot_payload(6, 700)
     deliver_reply(r, 3, [recon_entry(6, payloads[6], [3])])
     check()
@@ -801,7 +799,7 @@ def test_raw_responder_returns_its_parity_shard():
 
 def test_decoded_responder_sends_data_stripes_without_coding(monkeypatch):
     payload = slot_payload(0, 3000)
-    r, env = _committed_follower(2, 3, payload)  # holds 2, 3, 4: decodes
+    r, env = _committed_follower(2, 3, payload)  # holds 0, 1, 2: decodes
     assert r.log[0].status == Status.EXECUTED
     cw = encode(payload, CodingScheme(5, 3))
     calls = _count_gf_products(monkeypatch)
@@ -842,8 +840,9 @@ def test_unsettled_follower_counts_its_own_shards():
 
 def test_unsettled_follower_with_d_shards_asks_for_one():
     payload = slot_payload(0, 900)
-    r, env = _unsettled_follower(3, payload)  # holds 2, 3, 4
-    assert gossip_tick(r, env) == [(3, [(0, {0}, 1)])]
+    r, env = _unsettled_follower(3, payload)  # holds 0, 1, 2, as every peer does
+    # every shard peer 3 holds is here already: one of them is asked for
+    assert gossip_tick(r, env) == [(3, [(0, {0, 1, 2}, 1)])]
     assert gossip_tick(r, env) == []  # the ask is outstanding
     deliver_reply(r, 3, [recon_entry(0, payload, [0])])
     assert r.log[0].status == Status.EXECUTED and r.kv["k0"] == b"v" * 900
@@ -851,16 +850,16 @@ def test_unsettled_follower_with_d_shards_asks_for_one():
 
 def test_unsettled_follower_holding_a_losing_value_decodes_the_winner():
     lost, won = slot_payload(0, 900), encode_batch([put("won", b"w" * 700, 901, 1)])
-    r, env = _unsettled_follower(3, lost)  # holds 2, 3, 4 of the losing value
-    assert gossip_tick(r, env) == [(3, [(0, {0}, 1)])]
+    r, env = _unsettled_follower(3, lost)  # holds 0, 1, 2 of the losing value
+    assert gossip_tick(r, env) == [(3, [(0, {0, 1, 2}, 1)])]
     deliver_reply(r, 3, [recon_entry(0, won, [0])])
     # the reply settles the vid on the other value: its own shards no longer
     # count, so the two it lacks are asked for
     inst = r.log[0]
     assert inst.commit_vid == value_id(won) != inst.value_id
     assert inst.status == Status.COMMITTED_PARTIAL
-    assert gossip_tick(r, env) == [(3, [(0, {3, 4}, 2)])]
-    deliver_reply(r, 3, [recon_entry(0, won, [3, 4])])
+    assert gossip_tick(r, env) == [(3, [(0, {1, 2}, 2)])]
+    deliver_reply(r, 3, [recon_entry(0, won, [1, 2])])
     assert inst.status == Status.EXECUTED
     assert r.kv == {"won": b"w" * 700}
 
@@ -875,12 +874,10 @@ def test_full_copy_reproposal_over_a_parity_shard(monkeypatch):
     deliver_accept(r, 0, payload, c=1)
     assert set(r.log[0].own_shards) == {4}
     stripes = encode(payload, r.params.scheme).shards[:3]
-    _, bitmap = slot_policy(r.params, 3)
     products = _count_gf_products(monkeypatch)
     env.sent.clear()
     m = wire.Accept(
-        1, 0, NEW_BALLOT, 3, 3, 5, 3, len(payload), value_id(payload), bitmap,
-        dict(enumerate(stripes)), 2.0,
+        1, 0, NEW_BALLOT, 3, 3, len(payload), value_id(payload), dict(enumerate(stripes)), 2.0,
     )
     r.on_message(1, m, 2.0)
     r.on_persist_done(("ap", 0, NEW_BALLOT, 1), 2.0)
