@@ -7,7 +7,8 @@ apply it to the register model, and recurse; memoize on (remaining set,
 register value) so equivalent frontiers are explored once. With the ops
 sorted by invocation, only those overlapping the earliest pending response
 can go next, so a search state costs O(ops in flight), not O(ops on the
-key). Keys are checked independently — each key is its own register.
+key). A completed get that reads the current value goes next without
+branching. Keys are checked independently — each key is its own register.
 
 Verdicts: ("ok", None), ("violation", witness ops), or ("inconclusive",
 reason) when the search budget runs out — a budget exhaustion is explicitly
@@ -77,7 +78,10 @@ def _search_key(ops: list[LinOp], budget: _Budget) -> bool | None:
     first op invoked after the running minimum response meets exactly
     those: every later op is invoked later still and responds after it is
     invoked, and no op can lower the minimum below the invocation of an op
-    scanned before it."""
+    scanned before it. A candidate that is a completed get of the current
+    value is taken alone: it is invoked before every remaining response,
+    so any valid order of the rest still holds with it moved to the front,
+    where it reads the same value and changes nothing."""
     n = len(ops)
     invokes = [op.invoke_ms for op in ops]
     responds = [op.respond_ms if op.respond_ms is not None else INF for op in ops]
@@ -104,6 +108,10 @@ def _search_key(ops: list[LinOp], budget: _Budget) -> bool | None:
                 continue
             if invokes[i] > frontier:
                 break  # someone else finished before this one began
+            op = ops[i]
+            if op.kind == "get" and op.token == value and op.respond_ms is not None:
+                candidates = [i]  # no need to branch: see the docstring
+                break
             candidates.append(i)
             if responds[i] < frontier:
                 frontier = responds[i]

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import math
 import random
+from collections import deque
 from dataclasses import dataclass, field
 
 from ..protocol import wire
@@ -136,6 +137,10 @@ class ClosedLoopClient:
         self.current_cmd: wire.Command | None = None
         self._zipf: ZipfPicker | None = None
         self._zipf_shape: tuple[int, float] | None = None
+        # retry deadlines of the current op, oldest first, and whether the
+        # one "retry" wake-up is pending; it carries the seq it was set for
+        self._retry_due: deque[tuple[float, int]] = deque()
+        self._retry_wake_pending = False
 
     def start(self) -> None:
         self.env.set_timer(self.start_ms, ("issue",))
@@ -155,6 +160,7 @@ class ClosedLoopClient:
                 rec.token = token_of(entry.value) if entry.status == wire.OK else None
             self.current = None
             self.current_cmd = None
+            self._retry_due.clear()
             self.target = src  # whoever answered is the leader
             self._issue(now)
             return
@@ -166,9 +172,14 @@ class ClosedLoopClient:
     def on_timer(self, tag, now: float) -> None:
         if tag == ("issue",):
             self._issue(now)
-        elif tag[0] == "retry" and self.current is not None and tag[1] == self.seq:
-            self.target = (self.target + 1) % self.n
-            self._resend(now)
+        elif tag[0] == "retry":
+            self._retry_wake_pending = False
+            if self.current is not None and tag[1] == self.seq:
+                # set for this op's earliest deadline, which is now
+                self._retry_due.popleft()
+                self.target = (self.target + 1) % self.n
+                self._send(now)
+            self._wake_retry()
 
     def on_persist_done(self, tag, now: float) -> None:
         pass
@@ -230,7 +241,16 @@ class ClosedLoopClient:
 
     def _send(self, now: float) -> None:
         self.env.send(self.target, wire.ClientRequest(self.cid, [self.current_cmd]))
-        self.env.set_timer(self.retry_ms, ("retry", self.seq))
+        self._retry_due.append(self.env.deadline(self.retry_ms))
+        self._wake_retry()
+
+    def _wake_retry(self) -> None:
+        """Keep one pending wake-up, at the current op's earliest deadline.
+        Deadlines only grow, so a wake-up left by a completed op is never
+        late for the next op; it fires early and re-arms here."""
+        if self._retry_due and not self._retry_wake_pending:
+            self._retry_wake_pending = True
+            self.env.set_timer_at(self._retry_due[0], ("retry", self.seq))
 
 
 class FollowerReader:

@@ -92,6 +92,12 @@ class HeartbeatSpec:
     election_min_ms: float = 300.0
     election_max_ms: float = 600.0
 
+    def __post_init__(self):
+        # the election wake-up is set at most election_min_ms ahead; at 0 it
+        # would wake at the same instant forever
+        if not 0 < self.election_min_ms <= self.election_max_ms:
+            raise ValueError("need 0 < election_min_ms <= election_max_ms")
+
 
 @dataclass
 class LeaseSpec:
@@ -262,6 +268,10 @@ class Replica:
         self._lens = _SlotSums()  # payload_len of every slot in the log
         self._staged: dict[tuple, wire.Accept] = {}
         self._pending_self: dict[tuple[int, int], dict[int, bytes]] = {}
+        # election timeout: a reserved deadline, and one pending "elect"
+        # wake-up (tagged with the current generation) at or before it
+        self._elect_deadline = (0.0, 0)
+        self._elect_wake_pending = False
         self._election_gen = 0
         self._gossip_gen = 0
         self._votes: dict[int, list[wire.PrepareEntry]] = {}
@@ -294,8 +304,12 @@ class Replica:
     def on_timer(self, tag: Any, now: float) -> None:
         kind = tag[0]
         if kind == "elect":
-            if tag[1] == self._election_gen and self.role != LEADER:
-                self._start_election(now)
+            if tag[1] == self._election_gen:
+                self._elect_wake_pending = False
+                if now < self._elect_deadline[0]:
+                    self._wake_election(now)
+                elif self.role != LEADER:
+                    self._start_election(now)
         elif kind == "hb":
             if self.role == LEADER and tag[1] == self.current_ballot:
                 self._send_heartbeats(now)
@@ -336,6 +350,7 @@ class Replica:
         self.partial_queue = set()
         self._outstanding = {}
         self._cycle = 0
+        self._elect_wake_pending = False  # a crashed node's timers were dropped
         for inst in self.log.values():
             inst.gossip_shards = {}
             inst.payload = None
@@ -357,13 +372,28 @@ class Replica:
     # ------------------------------------------------------------ elections
 
     def _arm_election(self, initial: bool = False) -> None:
-        self._election_gen += 1
+        """Move the election deadline to a fresh random timeout from now.
+        Only the deadline moves: the pending wake-up stays in place, since
+        it is never later than the new deadline (see `_wake_election`)."""
         if initial and self.id == self.cfg.initial_leader:
             delay = 1.0
         else:
             hb = self.cfg.heartbeat
             delay = self._rng.uniform(hb.election_min_ms, hb.election_max_ms)
-        self.env.set_timer(delay, ("elect", self._election_gen))
+        self._elect_deadline = self.env.deadline(delay)
+        if not self._elect_wake_pending:
+            self._wake_election(self.env.now())
+
+    def _wake_election(self, now: float) -> None:
+        """Set the one pending wake-up at the deadline, but no later than
+        election_min_ms from now: a deadline armed after now lies at least
+        that far ahead, so no later arm can pull the deadline in front of
+        the wake-up, and it never needs replacing."""
+        self._election_gen += 1
+        self._elect_wake_pending = True
+        at, seq = self._elect_deadline
+        at = min(at, now + self.cfg.heartbeat.election_min_ms)
+        self.env.set_timer_at((at, seq), ("elect", self._election_gen))
 
     def _start_election(self, now: float) -> None:
         counter = self.promised // self.n + 1
@@ -535,7 +565,7 @@ class Replica:
             if e.commit_ballot:
                 inst.commit_ballot = max(inst.commit_ballot, e.commit_ballot)
             self._absorb_remote_shards(slot, inst, e.vid, e.sized, e.payload_len, e.shards)
-            if not inst.c:
+            if not inst.c and 1 <= e.c <= self.params.m:
                 inst.c = e.c
         self.partial_queue.add(slot)
 
@@ -791,6 +821,8 @@ class Replica:
     # ------------------------------------------------------- accept (peers)
 
     def _on_accept(self, src: int, m: wire.Accept, now: float) -> None:
+        if not 1 <= m.c <= self.params.m:
+            return  # malformed: no shard layout has this c (the wire cannot tell)
         if m.ballot < self.promised:
             self.env.send(
                 src,

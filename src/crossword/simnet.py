@@ -7,6 +7,16 @@ after any earlier traffic still serializing, then arrives delay ms later.
 A node's self-link models local durable writes. All scheduling is ordered by
 (time, insertion sequence), so a (scenario, seed) pair fully determines the
 trace.
+
+Timers are set after a delay (`set_timer`) or at a deadline reserved earlier
+(`deadline`, then `set_timer_at`). A deadline is a timer's place in that order,
+(time, sequence), taken as `set_timer` would take it now but with nothing
+scheduled yet. A node whose timeout keeps moving (an election timeout reset by
+every Accept, a client retry per operation) keeps one pending wake-up and
+reserves a new deadline instead of scheduling a new event; a wake-up that
+comes before the deadline re-arms itself at it. The timer then fires at the
+same time, and in the same order among events at that time, as an eagerly
+set one would, and no dead event is ever scheduled.
 """
 
 from __future__ import annotations
@@ -107,6 +117,18 @@ class SimNet:
     def set_timer(self, node: int, delay_ms: float, tag: Any) -> None:
         self._push(self.clock + delay_ms, _TIMER, (node, tag))
 
+    def deadline(self, delay_ms: float) -> tuple[float, int]:
+        """Reserve the place a timer set now for ``delay_ms`` would take:
+        its firing time and its insertion sequence."""
+        self._seq += 1
+        return self.clock + delay_ms, self._seq
+
+    def set_timer_at(self, node: int, deadline: tuple[float, int], tag: Any) -> None:
+        """Fire ``tag`` at a deadline from `deadline`, which must not have
+        passed. Among events at the same time it fires where a timer set
+        when the deadline was reserved would have."""
+        heapq.heappush(self._heap, (deadline[0], deadline[1], _TIMER, (node, tag)))
+
     def persist(self, node: int, nbytes: int, tag: Any) -> None:
         """Durable-write model: serialize nbytes over the node's self-link."""
         params = self.links[(node, node)]
@@ -198,6 +220,12 @@ class NodeEnv:
 
     def set_timer(self, delay_ms: float, tag: Any) -> None:
         self.net.set_timer(self.node_id, delay_ms, tag)
+
+    def deadline(self, delay_ms: float) -> tuple[float, int]:
+        return self.net.deadline(delay_ms)
+
+    def set_timer_at(self, deadline: tuple[float, int], tag: Any) -> None:
+        self.net.set_timer_at(self.node_id, deadline, tag)
 
     def persist(self, nbytes: int, tag: Any) -> None:
         self.net.persist(self.node_id, nbytes, tag)

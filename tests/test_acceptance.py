@@ -21,6 +21,8 @@ import math
 import random
 import time
 
+import numpy as np
+
 import conftest
 from cluster import leader_of, make_cluster, put
 
@@ -44,7 +46,7 @@ from crossword.harness.explore import special_points
 from crossword.harness.linearize import from_history
 from crossword.protocol import GossipSpec, wire
 from crossword.quorum import Config, multipaxos_config
-from crossword.tuner import Datapoint, LinearModel, choose_config, ols_fit
+from crossword.tuner import LinearModel, candidates, fit_line, pick_config
 
 
 def _record(num: int, name: str, ok: bool, detail: str) -> None:
@@ -253,7 +255,8 @@ def test_criterion_4_chooser_exactness():
             )
         healthy = rng.randint(0, n - 1)
         v_p = math.exp(rng.uniform(0.0, math.log(1_000_000)))
-        got = choose_config(v_p, models, healthy, params)
+        lines = [(m.intercept_ms, m.slope_ms_per_byte) for m in models.values()]
+        got = pick_config(v_p, lines, candidates(params, healthy, len(lines)), params)
         want = _oracle_choose(v_p, models, healthy, params)
         if got != want:
             mismatches.append((n, k, healthy, round(v_p), got, want))
@@ -264,12 +267,8 @@ def test_criterion_4_chooser_exactness():
     for _ in range(200):
         a = rng.uniform(0.1, 50.0)
         b = rng.uniform(0.0, 1e-4)
-        pts = [
-            Datapoint(at_ms=float(j), size_bytes=rng.uniform(0.0, 1e6), rtt_ms=0.0)
-            for j in range(rng.randint(5, 40))
-        ]
-        pts = [Datapoint(p.at_ms, p.size_bytes, a + b * p.size_bytes) for p in pts]
-        fit = ols_fit(pts)
+        sizes = [rng.uniform(0.0, 1e6) for _ in range(rng.randint(5, 40))]
+        fit = fit_line(np.array(sizes), np.array([a + b * v for v in sizes]))
         assert fit is not None
         worst_a = max(worst_a, abs(fit[0] - a))
         worst_b = max(worst_b, abs(fit[1] - b))

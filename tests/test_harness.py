@@ -25,7 +25,10 @@ from crossword.harness import (
 )
 from crossword.harness.cli import main
 from crossword.harness.linearize import check_linearizable, from_history
-from crossword.harness.workload import ZipfPicker
+from crossword.harness.scenario import WorkloadSpec
+from crossword.harness.workload import ClosedLoopClient, WorkloadState, ZipfPicker
+from crossword.protocol import wire
+from crossword.simnet import LinkParams, SimNet
 from crossword.assignment import ClusterParams
 from crossword.quorum import Config, multipaxos_config, rspaxos_config
 
@@ -212,6 +215,65 @@ def test_closed_loop_clients_never_overlap_their_own_ops():
             assert prev.respond_ms is not None
             assert nxt.invoke_ms >= prev.respond_ms
     assert res.report.summary["ops_completed"] > 50
+
+
+def test_completed_ops_leave_no_live_retry_wakeups(monkeypatch):
+    """A client keeps one pending retry wake-up, not one per op, and one left
+    by a completed op never reaches it as ("retry", seq of the op in
+    flight), the tag a real retry carries."""
+    calls = []
+    inner = ClosedLoopClient.on_timer
+
+    def spy(client, tag, now):
+        if tag[0] == "retry":
+            calls.append(tag[1] == client.seq and client.current is not None)
+        inner(client, tag, now)
+
+    monkeypatch.setattr(ClosedLoopClient, "on_timer", spy)
+    doc = minimal()
+    doc["workload"]["retry_ms"] = 100.0
+    res = run_scenario(parse_scenario(doc), drain_ms=300.0)
+    assert res.report.summary["ops_completed"] > 100
+    assert all(op.respond_ms is not None for op in res.history)
+    assert True not in calls
+    # a wake-up per client per retry interval at most
+    assert 0 < len(calls) <= 2 * (1500 + 300) / 100
+
+
+def test_redirected_op_retries_at_its_first_deadline():
+    """Node 0 redirects to node 1, which never answers: the retry armed by
+    the first send still fires 50 ms after it, then the resend's own."""
+    net = SimNet(size_of=lambda m: 100)
+    sent = []
+
+    class Redirector:
+        def on_message(self, src, msg, now):
+            net.send(0, src, wire.ClientReply(0, [], 1), 100)
+
+    class Silent:
+        def on_message(self, src, msg, now):
+            pass
+
+    net.add_node(0, Redirector())
+    net.add_node(1, Silent())
+    net.add_node(2, Silent())
+    state = WorkloadState.from_spec(WorkloadSpec())
+    client = ClosedLoopClient(net.env(9), 9, 3, state, 1, 50.0, 0.0, [], stop_ms=1.0)
+    net.add_node(9, client)
+    net.set_all_links([0, 1, 2, 9], LinkParams(2.0, 1e6), LinkParams(0.0, 1e6))
+    inner = net.send
+
+    def spy(src, dst, msg, size, payload_bytes=0):
+        if src == 9:
+            sent.append((net.clock, dst))
+        inner(src, dst, msg, size, payload_bytes)
+
+    net.send = spy
+    client.start()
+    net.run(60.0)
+    t1 = 2 * (2.0 + 100 / 1e6)  # the redirect comes back after a round trip
+    # the retries rotate the target: 1 + 1 = 2, then 2 + 1 = 0
+    assert sent[:4] == [(0.0, 0), (t1, 1), (50.0, 2), (t1 + 50.0, 0)]
 
 
 def test_crash_restart_run_passes_all_safety_checks():

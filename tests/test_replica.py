@@ -8,11 +8,11 @@ not yet know which value its slot committed, and a full-copy re-proposal."""
 
 import pytest
 
-from crossword import erasure
+from crossword import erasure, simnet
 from crossword.assignment import ClusterParams, balanced_rr, slot_policy
 from crossword.erasure import CodingScheme, encode
 from crossword.harness import check_conservation, parse_scenario, run_scenario
-from crossword.protocol import GossipSpec, Replica, ReplicaConfig, wire
+from crossword.protocol import GossipSpec, HeartbeatSpec, Replica, ReplicaConfig, wire
 from crossword.protocol import replica as replica_mod
 from crossword.protocol.replica import (
     LEADER,
@@ -413,6 +413,61 @@ def test_takeover_merges_shards_across_ballots_by_value():
     assert resolved[0][0] == "noop"
 
 
+def _pending_elect(net, node):
+    return sum(
+        1
+        for _at, _seq, kind, data in net._heap
+        if kind == simnet._TIMER and data[0] == node and data[1][0] == "elect"
+    )
+
+
+def test_follower_keeps_one_pending_election_wakeup(monkeypatch):
+    """A follower that hears a heartbeat every interval moves its election
+    deadline each time but schedules no event for it: one wake-up stays
+    pending, at most election_min_ms ahead."""
+    net, replicas, _, traces = make_cluster(n=5, n_clients=0)
+    fired = {r.id: 0 for r in replicas}
+    inner = Replica.on_timer
+
+    def counting(r, tag, now):
+        if tag[0] == "elect":
+            fired[r.id] += 1
+        inner(r, tag, now)
+
+    monkeypatch.setattr(Replica, "on_timer", counting)
+    most = 0
+    while net._heap and net._heap[0][0] <= 3000.0:
+        net.step()
+        most = max(most, *(_pending_elect(net, r.id) for r in replicas))
+    assert [t[1] for t in traces if t[0] == "leader"] == [0]
+    assert most == 1
+    hb = replicas[1].cfg.heartbeat
+    for rid in (1, 2, 3, 4):
+        assert fired[rid] <= 3000.0 / hb.election_min_ms + 1
+
+
+def test_election_timeout_must_be_positive():
+    with pytest.raises(ValueError):
+        HeartbeatSpec(election_min_ms=0.0)
+
+
+def test_restarted_node_still_elects_within_its_timeout():
+    """The wake-up pending at the crash is dropped while the node is down;
+    after the restart a fresh one still fires the election on time."""
+    net, replicas, _, traces = make_cluster(n=5, n_clients=0)
+    net.schedule_crash(100.0, 2)
+    net.schedule_call(400.0, lambda now: net.partition([2], [0, 1, 3, 4], up=False))
+    net.schedule_restart(700.0, 2)
+    net.run(2000.0)
+    hb = replicas[2].cfg.heartbeat
+    starts = [t[3] for t in traces if t[0] == "candidate" and t[1] == 2]
+    assert len(starts) >= 2
+    assert 700.0 + hb.election_min_ms <= starts[0] <= 700.0 + hb.election_max_ms
+    # unanswered, it retries with a fresh timeout each time
+    for prev, nxt in zip(starts, starts[1:]):
+        assert hb.election_min_ms <= nxt - prev <= hb.election_max_ms
+
+
 def test_partitioned_follower_catches_up_after_heal():
     net, replicas, (cli,), _ = make_cluster(n=3)
 
@@ -510,10 +565,19 @@ class ScriptEnv:
     def __init__(self):
         self.sent = []
 
+    def now(self):
+        return 0.0
+
     def send(self, dst, msg):
         self.sent.append((dst, msg))
 
     def set_timer(self, delay, tag):
+        pass
+
+    def deadline(self, delay):
+        return delay, 0
+
+    def set_timer_at(self, deadline, tag):
         pass
 
     def persist(self, nbytes, tag):
@@ -886,3 +950,35 @@ def test_full_copy_reproposal_over_a_parity_shard(monkeypatch):
     r.on_message(1, wire.Heartbeat(1, NEW_BALLOT, 1, 2.0), 2.0)
     assert r.log[0].status == Status.EXECUTED and r.kv["k0"] == b"v" * 900
     assert products == []
+
+
+def test_accept_with_c_out_of_range_is_dropped():
+    """The wire does not know n, so a c no shard layout has reaches the
+    replica; it must drop the Accept, not store it for the gossip walk."""
+    r, env = scripted_follower(gossip=GossipSpec(deferral_bytes=0))
+    payload = slot_payload(0, 120)
+    own = {2: encode(payload, r.params.scheme).shards[2]}
+    sent = wire.Accept(0, 0, BALLOT, 3, 9, len(payload), value_id(payload), own, 1.0)
+    m, _ = wire.decode(wire.encode(sent))
+    assert m.c == 9
+    r.on_message(0, m, 1.0)
+    r.on_persist_done(("ap", 0, BALLOT, 0), 1.0)
+    assert env.sent == [] and r.log == {}
+    deliver_heartbeat(r, 1)
+    assert r.log[0].c == 0  # learned from the heartbeat: holders unknown
+    assert [slot for _, wants in gossip_tick(r, env) for slot, _, _ in wants] == [0]
+
+
+def test_prepare_entry_with_c_out_of_range_is_not_adopted():
+    r, env = scripted_follower(gossip=GossipSpec(deferral_bytes=0))
+    payload = slot_payload(0, 120)
+    cw = encode(payload, r.params.scheme)
+    entry = wire.PrepareEntry(
+        slot=0, accepted_ballot=BALLOT, vid=value_id(payload), committed=True, sized=True,
+        commit_ballot=BALLOT, c=9, payload_len=len(payload), shards={0: cw.shards[0]},
+    )
+    r._prepare_from = 0
+    r._votes = {0: [entry], 1: [], 3: []}
+    assert r._merge_votes()[0][0] == "partial"
+    assert r.log[0].c == 0 and 0 in r.partial_queue
+    assert [slot for _, wants in gossip_tick(r, env) for slot, _, _ in wants] == [0]

@@ -75,6 +75,16 @@ def test_timer_and_insertion_order_at_equal_time():
     assert [e[1] for e in a.events] == ["first", "second"]
 
 
+def test_reserved_deadline_keeps_its_place_at_equal_time():
+    net, a, _ = two_nodes()
+    early = net.deadline(5.0)
+    net.set_timer(0, 5.0, "second")
+    net.run(3.0)
+    net.set_timer_at(0, early, "first")  # scheduled late, ordered as reserved
+    net.run(5.0)
+    assert [(e[1], e[2]) for e in a.events] == [("first", 5.0), ("second", 5.0)]
+
+
 def test_crashed_node_drops_deliveries_and_timers():
     net, _, b = two_nodes(delay=1.0)
     net.send(0, 1, (10, "early"), 10)

@@ -1,40 +1,96 @@
-"""Chooser and model-fitting tests. The chooser's oracle (used again at
-acceptance scale) evaluates the same completion formula by direct enumeration
-and applies the documented tie rule."""
+"""Chooser and model-fitting tests.
 
+The reference oracles below are the chooser's earlier pure-Python fit and
+config choice, kept term for term: the numpy fit and the cached chooser in
+`crossword.tuner` must agree with them, on synthetic windows and on every
+refit and choice of a short run of each benchmark workload."""
+
+import importlib.util
+import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from crossword.assignment import ClusterParams
-from crossword.quorum import Config, candidate_configs
+from crossword.harness import parse_scenario, run_scenario
+from crossword.quorum import Config, candidate_configs, multipaxos_config
 from crossword.tuner import (
-    Datapoint,
     LinearModel,
+    OUTLIER_FRAC,
     RttTuner,
     TIE_REL,
-    choose_config,
-    ols_fit,
+    candidates,
+    fit_line,
+    pick_config,
     transmitted_size,
 )
+import crossword.tuner as tuner_mod
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
-def brute_force_choice(v_p, models, healthy, params):
+def reference_ols_fit(points):
+    """Least-squares (intercept, slope) over (size, rtt) pairs after dropping
+    the highest-rtt 5% as outliers; None when the surviving points cannot
+    pin down a line. The slope is clamped at zero."""
+    if len(points) < 2:
+        return None
+    drop = int(OUTLIER_FRAC * len(points))
+    if drop:
+        kept = sorted(points, key=lambda pt: pt[1])[: len(points) - drop]
+    else:
+        kept = list(points)
+    if len(kept) < 2:
+        return None
+    n = len(kept)
+    mean_v = sum(v for v, _ in kept) / n
+    mean_t = sum(t for _, t in kept) / n
+    sxx = sum((v - mean_v) ** 2 for v, _ in kept)
+    if sxx == 0.0:
+        return None
+    sxy = sum((v - mean_v) * (t - mean_t) for v, t in kept)
+    slope = max(0.0, sxy / sxx)
+    return mean_t - slope * mean_v, slope
+
+
+def reference_choose_config(v_p, models, healthy_followers, params, tie_rel=TIE_REL):
+    """Completion of (q, c) is the (q-1)-th smallest follower estimate at
+    transmitted_size(v_p, c); q is capped at 1 + healthy_followers; ties
+    within tie_rel go to the smaller q; (m, m) when nothing can be scored."""
+    cands = [cfg for cfg in candidate_configs(params) if cfg.q <= 1 + healthy_followers]
     scored = []
-    for cfg in candidate_configs(params):
-        if cfg.q > 1 + healthy or len(models) < cfg.q - 1:
+    for cfg in cands:
+        if len(models) < cfg.q - 1:
             continue
-        times = sorted(
-            m.intercept_ms + m.slope_ms_per_byte * (v_p * cfg.c / params.m)
-            for m in models.values()
-        )
+        size = transmitted_size(v_p, cfg.c, params)
+        times = sorted(m.predict(size) for m in models.values())
         scored.append((times[cfg.q - 2], cfg))
     if not scored:
-        return Config(q=params.m, c=params.m)
-    best = min(t for t, _ in scored)
-    tied = [c for t, c in scored if t <= best + abs(best) * TIE_REL]
-    return min(tied, key=lambda c: c.q)
+        return multipaxos_config(params)
+    best = min(est for est, _ in scored)
+    threshold = best + abs(best) * tie_rel
+    tied = [cfg for est, cfg in scored if est <= threshold]
+    return min(tied, key=lambda cfg: cfg.q)
+
+
+def fit(points):
+    """`fit_line` over (size, rtt) pairs."""
+    return fit_line(
+        np.array([v for v, _ in points], dtype=float), np.array([t for _, t in points], dtype=float)
+    )
+
+
+def choose_config(v_p, models, healthy, params):
+    """The tuner's choice over `models`, as `RttTuner.choose` makes it."""
+    lines = [(m.intercept_ms, m.slope_ms_per_byte) for m in models.values()]
+    return pick_config(v_p, lines, candidates(params, healthy, len(lines)), params)
 
 
 def identical_models(n_followers, intercept=4.0, slope=1 / 125.0):
@@ -86,29 +142,29 @@ def test_chosen_c_nonincreasing_in_payload():
 
 
 def test_ols_recovers_noiseless_line():
-    pts = [Datapoint(0.0, float(v), 3.25 + 0.004 * v) for v in range(0, 5000, 37)]
-    intercept, slope = ols_fit(pts)
+    pts = [(float(v), 3.25 + 0.004 * v) for v in range(0, 5000, 37)]
+    intercept, slope = fit(pts)
     assert abs(intercept - 3.25) < 1e-9
     assert abs(slope - 0.004) < 1e-9
 
 
 def test_ols_discards_top_rtt_outliers():
     rng = random.Random(9)
-    pts = [Datapoint(0.0, float(v), 2.0 + 0.01 * v) for v in rng.sample(range(1000), 100)]
-    pts += [Datapoint(0.0, 50.0, 500.0 + i) for i in range(5)]  # top 5/105
-    intercept, slope = ols_fit(pts)
+    pts = [(float(v), 2.0 + 0.01 * v) for v in rng.sample(range(1000), 100)]
+    pts += [(50.0, 500.0 + i) for i in range(5)]  # top 5/105
+    intercept, slope = fit(pts)
     assert abs(intercept - 2.0) < 1e-9
     assert abs(slope - 0.01) < 1e-9
 
 
 def test_ols_needs_two_distinct_sizes():
-    assert ols_fit([Datapoint(0, 10.0, 1.0)]) is None
-    assert ols_fit([Datapoint(0, 10.0, 1.0), Datapoint(0, 10.0, 2.0)]) is None
+    assert fit([(10.0, 1.0)]) is None
+    assert fit([(10.0, 1.0), (10.0, 2.0)]) is None
 
 
 def test_ols_slope_clamped_nonnegative():
-    pts = [Datapoint(0, 0.0, 10.0), Datapoint(0, 100.0, 1.0)]
-    _, slope = ols_fit(pts)
+    pts = [(0.0, 10.0), (100.0, 1.0)]
+    _, slope = fit(pts)
     assert slope == 0.0
 
 
@@ -119,7 +175,7 @@ def test_window_eviction():
     tuner.record(1, 200.0, 10.0, 2500.0)
     # the point recorded at 0 ms fell out of the 2000 ms window, 600 survives
     assert len(tuner._points[1]) == 2
-    assert tuner._points[1][0].at_ms == 600.0
+    assert tuner._points[1].at[0] == 600.0
 
 
 def test_refit_interval_caches_model():
@@ -144,6 +200,53 @@ def test_heartbeat_zero_size_points_anchor_intercept():
     assert abs(m.slope_ms_per_byte - 0.008) < 1e-9
 
 
+def test_choose_reuses_lines_until_a_refit_is_due():
+    tuner = RttTuner(PARAMS5)
+    for peer in (1, 2, 3, 4):
+        for i in range(10):
+            tuner.record(peer, float(i * 1000), 1.0 + 0.001 * i * 1000, float(i))
+    assert tuner.choose(131072.0, [1, 2, 3, 4], 100.0) == Config(q=5, c=1)
+    # follower 4 turns slow; its points count only from its next refit
+    for i in range(40):
+        tuner.record(4, float(i * 1000), 50.0 + 0.1 * i * 1000, 150.0)
+    assert tuner.choose(131072.0, [1, 2, 3, 4], 299.0) == Config(q=5, c=1)
+    assert tuner.choose(131072.0, [1, 2, 3, 4], 300.0) == Config(q=4, c=2)
+    # a smaller healthy set is scored at once, from the cached lines
+    assert tuner.choose(131072.0, [1, 2, 3], 301.0) == Config(q=4, c=2)
+
+
+def _ulps_apart(a, b):
+    return abs(a - b) / math.ulp(max(abs(a), abs(b)))
+
+
+@given(st.data())
+def test_fit_matches_reference_within_two_ulp(data):
+    """Python's `x ** 2` (libm pow) and numpy's `x * x` differ in the last
+    bit for about 0.08% of doubles, so a fit may differ by an ulp or two."""
+    n = data.draw(st.sampled_from([2, 3, 5, 19, 20, 21, 39, 40, 41, 60]), label="points")
+    intercept = data.draw(st.floats(0.05, 50.0), label="intercept")
+    slope = data.draw(st.floats(0.0, 1e-4), label="slope")
+    # a few noise values: zero-size heartbeat points tie on rtt, and ties
+    # straddle the 5% cut from 20 points on
+    noise = data.draw(st.lists(st.floats(0.0, 5.0), min_size=1, max_size=4), label="noise")
+    pts = []
+    for _ in range(n):
+        size = 0.0 if data.draw(st.booleans()) else data.draw(st.floats(1.0, 2e6))
+        pts.append((size, intercept + slope * size + data.draw(st.sampled_from(noise))))
+    want, got = reference_ols_fit(pts), fit(pts)
+    if want is None or got is None:
+        assert want == got
+        return
+    assert _ulps_apart(got[1], want[1]) <= 2
+    if got[1] == want[1]:
+        assert got[0] == want[0]
+    else:
+        # the intercept subtracts slope * mean size, so a slope an ulp off
+        # moves it by ulps of that product, not of the intercept
+        scale = max(abs(want[0]), want[1] * max(v for v, _ in pts))
+        assert abs(got[0] - want[0]) <= 2 * math.ulp(scale)
+
+
 @given(
     v_p=st.floats(min_value=1.0, max_value=2_000_000.0),
     data=st.data(),
@@ -156,6 +259,67 @@ def test_choose_matches_brute_force(v_p, data):
         slope = data.draw(st.floats(0.0, 0.1))
         models[i + 1] = LinearModel(intercept, slope, 0.0)
     healthy = data.draw(st.integers(0, 4))
-    assert choose_config(v_p, models, healthy, PARAMS5) == brute_force_choice(
+    assert choose_config(v_p, models, healthy, PARAMS5) == reference_choose_config(
         v_p, models, healthy, PARAMS5
     )
+
+
+def _benchmark_workload(name):
+    """The benchmark's workload `name` at seed 1, from perfbench/workloads.py."""
+    mod = sys.modules.get("perfbench_workloads")
+    if mod is None:
+        spec = importlib.util.spec_from_file_location(
+            "perfbench_workloads", ROOT / "perfbench" / "workloads.py"
+        )
+        mod = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(mod)
+    return mod.build(name, 1)
+
+
+@pytest.mark.parametrize(
+    "name, duration_ms",
+    [("dynamic-shift", 16000), ("small-rw", 5000), ("leader-failover", 6000)],
+)
+def test_recorded_fits_and_choices_match_reference(monkeypatch, name, duration_ms):
+    """Every refit of a benchmark run equals the reference fit of the same
+    window exactly, and every choice equals the reference choice over the
+    models the tuner holds at that moment."""
+    wl = _benchmark_workload(name)
+    wl.doc["workload"]["duration_ms"] = duration_ms
+    fits, choices = [], []
+    inner_fit = tuner_mod.fit_line
+    inner_choose = RttTuner.choose
+
+    def recording_fit(size, rtt):
+        got = inner_fit(size, rtt)
+        fits.append((size.tolist(), rtt.tolist(), got))
+        return got
+
+    def checked_choose(self, v_p, healthy, now):
+        got = inner_choose(self, v_p, healthy, now)
+        models = {p: self.model_for(p, now) for p in healthy}
+        models = {p: m for p, m in models.items() if m is not None}
+        choices.append((got, reference_choose_config(v_p, models, len(healthy), self.params)))
+        return got
+
+    monkeypatch.setattr(tuner_mod, "fit_line", recording_fit)
+    monkeypatch.setattr(RttTuner, "choose", checked_choose)
+    run_scenario(parse_scenario(wl.doc, wl.name), drain_ms=500.0)
+    assert len(fits) > 50 and len(choices) > 500
+    mismatched = [
+        (got, reference_ols_fit(list(zip(size, rtt))))
+        for size, rtt, got in fits
+        if got != reference_ols_fit(list(zip(size, rtt)))
+    ]
+    assert mismatched == []
+    assert [got for got, _ in choices] == [want for _, want in choices]
+
+
+def test_bench_tuner_script_runs():
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "benchmarks" / "bench_tuner.py"), "--repeat", "1"],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "us/call" in proc.stdout
