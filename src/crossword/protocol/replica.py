@@ -53,6 +53,7 @@ from ..quorum import Config, check_commit_rr, multipaxos_config, rspaxos_config
 from ..tuner import RttTuner
 from . import wire
 from .hashing import state_hash
+from .wire import decode_batch, encode_batch
 
 __all__ = [
     "FollowerReadSpec", "GossipSpec", "HeartbeatSpec", "Instance", "LeaseSpec",
@@ -175,19 +176,6 @@ def _data_stripes(payload: bytes, scheme: CodingScheme) -> dict[int, bytes]:
     slen = shard_len(len(payload), scheme)
     padded = payload + b"\x00" * (scheme.d * slen - len(payload))
     return {i: padded[i * slen : (i + 1) * slen] for i in range(scheme.d)}
-
-
-def encode_batch(cmds: list[wire.Command]) -> bytes:
-    w = wire._Writer()
-    w.u16(len(cmds))
-    for c in cmds:
-        c._body(w)
-    return b"".join(w.parts)
-
-
-def decode_batch(payload: bytes) -> list[wire.Command]:
-    r = wire._Reader(payload)
-    return [wire.Command._parse(r) for _ in range(r.u16())]
 
 
 class _SlotSums:
@@ -1104,7 +1092,7 @@ class Replica:
                 if not avail:
                     continue
                 settle = False
-                plan.setdefault(peer, []).append((slot, frozenset(avail), need))
+                plan.setdefault(peer, []).append(wire.Want(slot, frozenset(avail), need))
                 # the responder sends the lowest `need` of them that it has
                 sent = frozenset(sorted(avail)[:need])
                 if asks is None:
@@ -1135,7 +1123,7 @@ class Replica:
             # at least one: a slot that holds d shards but waits for the
             # committed value's payload_len still needs a reply carrying it
             need = max(scheme.d - len(have), 1)
-            wants.append((slot, frozenset(range(scheme.n_shards)) - have, need))
+            wants.append(wire.Want(slot, frozenset(range(scheme.n_shards)) - have, need))
         if not wants:
             return
         for p in self.peers:

@@ -62,7 +62,7 @@ _DELIVER, _TIMER, _PERSIST, _CRASH, _RESTART, _CALL = range(6)
 class SimNet:
     def __init__(
         self,
-        size_of: Callable[[Any], int] | None = None,
+        size_of: Callable[[Any], int],
         payload_of: Callable[[Any], int] | None = None,
     ):
         self.clock = 0.0
@@ -73,7 +73,7 @@ class SimNet:
         self.links: dict[tuple[int, int], LinkParams] = {}
         self._busy: dict[tuple[int, int], float] = {}
         self.stats: dict[tuple[int, int], LinkStats] = {}
-        self.size_of = size_of or (lambda m: getattr(m, "_wire_size", 0))
+        self.size_of = size_of
         self.payload_of = payload_of or (lambda m: 0)
         self.dropped_msgs = 0
 

@@ -1,3 +1,8 @@
+import os
+import pathlib
+import subprocess
+import sys
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -24,6 +29,7 @@ from crossword.protocol.wire import (
     payload_nbytes,
     wire_size,
 )
+from crossword.protocol.replica import decode_batch, encode_batch
 
 shard_maps = st.dictionaries(st.integers(0, 8), st.binary(max_size=64), max_size=4)
 idxsets = st.frozensets(st.integers(0, 8), max_size=5)
@@ -143,6 +149,27 @@ def test_malformed_inputs_rejected():
                 raw[at] = defined | 1 << bit
                 with pytest.raises(MalformedMessageError):
                     decode(bytes(raw))
+    # a one-bit ok flag with another bit set; it follows the u64 ballot, or
+    # the u64 slot and ballot of an AcceptReply
+    for msg, at in (
+        (HeartbeatReply(4, 6, True, 6, 99.5), 7 + 8),
+        (AcceptReply(3, 9, 6, True, 6, frozenset({1}), 1.0), 7 + 16),
+        (PrepareReply(1, 12, True, 12, 3, []), 7 + 8),
+    ):
+        raw = bytearray(encode(msg))
+        assert raw[at] == 1
+        raw[at] = 2
+        with pytest.raises(MalformedMessageError):
+            decode(bytes(raw))
+    # a key that is not UTF-8, a command kind that is neither PUT nor GET,
+    # and a reply status that is neither OK nor NOT_FOUND
+    req = encode(ClientRequest(7, [Command(wire.PUT, "k", b"v", 7, 3)]))
+    rep = encode(ClientReply(0, [ReplyEntry(7, 3, wire.OK, b"v", 2)], wire.NO_REDIRECT))
+    for raw, at, value in ((req, 7 + 2 + 1 + 2, 0xFF), (req, 7 + 2, 2), (rep, 7 + 2 + 4 + 8, 2)):
+        raw = bytearray(raw)
+        raw[at] = value
+        with pytest.raises(MalformedMessageError):
+            decode(bytes(raw))
 
 
 def _old_payload_nbytes(msg):
@@ -186,3 +213,155 @@ def test_payload_nbytes_matches_reference_for_every_type(shards, more, value):
     for msg in msgs:
         roundtrip(msg)
         assert payload_nbytes(msg) == msg.payload_nbytes() == _old_payload_nbytes(msg)
+
+
+# One instance of each message type and a two-command batch, with the exact
+# bytes each encodes to: the layout on the wire, not only its length.
+GOLDEN = [
+    (Prepare(2, 12, 7), "00000017010002000000000000000c0000000000000007"),
+    (
+        PrepareReply(1, 12, True, 12, 3, [
+            PrepareEntry(3, 11, 0xFEED, True, False, 11, 2, 100, {4: b"\x01\x02", 0: b"ab"}),
+            PrepareEntry(4, 11, 9, False, True, 0, 0, 0, {}),
+        ]),
+        "00000084020001000000000000000c01000000000000000c00000000000000030000000200000000"
+        "00000003000000000000000b000000000000feed01000000000000000b0200000064000200000000"
+        "0002616200040000000201020000000000000004000000000000000b000000000000000902000000"
+        "000000000000000000000000",
+    ),
+    (
+        Accept(0, 9, 6, 4, 2, 1000, 0xABCD, {3: b"xyz", 1: b""}, 12.5),
+        "0000003e030000000000000000000900000000000000060402000003e8000000000000abcd000200"
+        "010000000000030000000378797a4029000000000000",
+    ),
+    (
+        AcceptReply(3, 9, 6, False, 7, frozenset({5, 1, 2}), 11.25),
+        "00000030040003000000000000000900000000000000060000000000000000070003000100020005"
+        "4026800000000000",
+    ),
+    (Heartbeat(0, 6, 42, 99.5), "0000001f0500000000000000000006000000000000002a4058e00000000000"),
+    (
+        HeartbeatReply(4, 6, True, 6, 99.5),
+        "0000002006000400000000000000060100000000000000064058e00000000000",
+    ),
+    (
+        Reconstruct(2, [(5, frozenset({0, 4}), 3), (9, frozenset(), 1)]),
+        "00000025070002000000020000000000000005000200000004030000000000000009000001",
+    ),
+    (
+        ReconstructReply(3, [
+            ReconEntry(5, True, False, True, 6, 0xBEEF, 6, 77, {2: b"s2", 1: b"s1"}),
+            ReconEntry(6, False, True, False, 0, 0, 0, 0, {}),
+        ]),
+        "00000069080003000000020000000000000005050000000000000006000000000000beef00000000"
+        "000000060000004d0002000100000002733100020000000273320000000000000006020000000000"
+        "00000000000000000000000000000000000000000000000000",
+    ),
+    (
+        ClientRequest(7, [
+            Command(wire.PUT, "k\u00e9", b"vvv", 7, 3), Command(wire.GET, "k", b"", 7, 4),
+        ]),
+        "0000003609000700020000036bc3a9000000037676760000000700000000000000030100016b0000"
+        "0000000000070000000000000004",
+    ),
+    (
+        ClientReply(0, [
+            ReplyEntry(7, 3, wire.OK, b"val", 2), ReplyEntry(8, 1, wire.NOT_FOUND, b"", 0),
+        ], 4),
+        "000000400a00000002000000070000000000000003000000000376616c0000000000000002000000"
+        "080000000000000001010000000000000000000000000004",
+    ),
+]
+GOLDEN_BATCH = (
+    "00020000036b65790000000200ff0000000500000000000000010100036b65790000000000000006"
+    "0000000000000002"
+)
+
+
+def test_golden_bytes():
+    assert {type(m) for m, _ in GOLDEN} == set(wire._TYPES)
+    for msg, hexed in GOLDEN:
+        assert encode(msg).hex() == hexed, type(msg).__name__
+        assert wire_size(msg) == len(hexed) // 2
+        assert decode(bytes.fromhex(hexed)) == (msg, len(hexed) // 2)
+    batch = [Command(wire.PUT, "key", b"\x00\xff", 5, 1), Command(wire.GET, "key", b"", 6, 2)]
+    assert encode_batch(batch).hex() == GOLDEN_BATCH
+    assert decode_batch(bytes.fromhex(GOLDEN_BATCH)) == batch
+
+
+u8s, u16s = st.integers(0, 0xFF), st.integers(0, 0xFFFF)
+u32s, u64s = st.integers(0, 0xFFFFFFFF), st.integers(0, 2**64 - 1)
+f64s = st.floats(allow_nan=False)
+small_shards = st.dictionaries(u16s, st.binary(max_size=8), max_size=3)
+small_idxsets = st.frozensets(u16s, max_size=3)
+MESSAGES = {
+    "Prepare": st.builds(Prepare, u16s, u64s, u64s),
+    "PrepareReply": st.builds(
+        PrepareReply, u16s, u64s, st.booleans(), u64s, u64s,
+        st.lists(st.builds(
+            PrepareEntry, u64s, u64s, u64s, st.booleans(), st.booleans(), u64s, u8s, u32s,
+            small_shards,
+        ), max_size=2),
+    ),
+    "Accept": st.builds(Accept, u16s, u64s, u64s, u8s, u8s, u32s, u64s, small_shards, f64s),
+    "AcceptReply": st.builds(
+        AcceptReply, u16s, u64s, u64s, st.booleans(), u64s, small_idxsets, f64s
+    ),
+    "Heartbeat": st.builds(Heartbeat, u16s, u64s, u64s, f64s),
+    "HeartbeatReply": st.builds(HeartbeatReply, u16s, u64s, st.booleans(), u64s, f64s),
+    "Reconstruct": st.builds(
+        Reconstruct, u16s, st.lists(st.tuples(u64s, small_idxsets, u8s), max_size=3)
+    ),
+    "ReconstructReply": st.builds(
+        ReconstructReply, u16s,
+        st.lists(st.builds(
+            ReconEntry, u64s, st.booleans(), st.booleans(), st.booleans(), u64s, u64s, u64s,
+            u32s, small_shards,
+        ), max_size=2),
+    ),
+    "ClientRequest": st.builds(
+        ClientRequest, u16s,
+        st.lists(st.builds(
+            Command, st.sampled_from([wire.PUT, wire.GET]), st.text(max_size=4),
+            st.binary(max_size=8), u32s, u64s,
+        ), max_size=3),
+    ),
+    "ClientReply": st.builds(
+        ClientReply, u16s,
+        st.lists(st.builds(
+            ReplyEntry, u32s, u64s, st.sampled_from([wire.OK, wire.NOT_FOUND]),
+            st.binary(max_size=8), u64s,
+        ), max_size=3),
+        u16s,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MESSAGES))
+@given(data=st.data())
+def test_decode_rejects_prefixes_and_never_raises_another_error(name, data):
+    assert set(MESSAGES) == {cls.__name__ for cls in wire._TYPES}
+    msg = data.draw(MESSAGES[name])
+    raw = encode(msg)
+    assert decode(raw) == (msg, len(raw))
+    for end in range(len(raw)):
+        with pytest.raises(MalformedMessageError):
+            decode(raw[:end])
+    at = data.draw(st.integers(0, len(raw) - 1))
+    mutated = bytearray(raw)
+    mutated[at] = data.draw(u8s)
+    try:
+        decode(bytes(mutated))
+    except MalformedMessageError:
+        pass
+
+
+def test_bench_wire_script_runs():
+    root = pathlib.Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    proc = subprocess.run(
+        [sys.executable, str(root / "benchmarks" / "bench_wire.py"), "--repeat", "1"],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "us/call" in proc.stdout
