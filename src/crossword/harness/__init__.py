@@ -11,7 +11,7 @@ from .runner import (
     run_scenario,
 )
 from .scenario import Scenario, ScenarioError, load_scenario, parse_scenario
-from .workload import ClosedLoopClient, OpRecord, WorkloadState, token_of, value_bytes
+from .workload import ClosedLoopClient, OpRecord, token_of, value_bytes
 
 __all__ = [
     "ClosedLoopClient",
@@ -21,7 +21,6 @@ __all__ = [
     "RunResult",
     "Scenario",
     "ScenarioError",
-    "WorkloadState",
     "build_report",
     "check_conservation",
     "check_linearizable",

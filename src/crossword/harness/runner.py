@@ -1,17 +1,20 @@
 """Scenario runner: builds the simulated cluster, closed-loop clients, and
 fault schedule from a Scenario, runs it to completion, and collects the
-history, metrics, traces, and final state digests."""
+history, metrics, traces, and final state digests.
+
+Link overrides and link faults all go through `_edit_links`, which changes
+only the fields a link edit names; a cut link stays cut until `heal`."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from ..protocol import Replica, wire
 from ..protocol.hashing import state_hash
 from ..simnet import SimNet
 from .metrics import MetricsReport, build_report
-from .scenario import FaultEvent, Scenario
-from .workload import ClosedLoopClient, FollowerReader, OpRecord, WorkloadState
+from .scenario import FAULT_KINDS, FaultEvent, LinkSpec, Scenario, WorkloadSpec
+from .workload import ClosedLoopClient, FollowerReader, OpRecord
 
 CLIENT_BASE = 1000
 READER_BASE = 3000
@@ -47,49 +50,28 @@ class RunResult:
         return out
 
 
-def _schedule_fault(net: SimNet, ev: FaultEvent, n: int, wstate: WorkloadState) -> None:
+def _edit_links(net: SimNet, pairs: list[tuple[int, int]], link: LinkSpec) -> None:
+    """Set the fields `link` names on each directed link in `pairs`; every
+    other field, `up` among them, keeps the link's current value."""
+    edit = {name: value for name, value in vars(link).items() if value is not None}
+    for a, b in pairs:
+        net.set_link(a, b, replace(net.link(a, b), **edit))
+
+
+def _schedule_fault(net: SimNet, ev: FaultEvent, n: int, workload: WorkloadSpec) -> None:
     a = ev.args
     if ev.kind == "crash":
         net.schedule_crash(ev.at_ms, a["node"])
     elif ev.kind == "restart":
         net.schedule_restart(ev.at_ms, a["node"])
-    elif ev.kind == "partition":
-        ga, gb = list(a["group_a"]), list(a["group_b"])
-        net.schedule_call(ev.at_ms, lambda now: net.partition(ga, gb, up=False))
-    elif ev.kind == "heal":
-        ga, gb = list(a["group_a"]), list(a["group_b"])
-        net.schedule_call(ev.at_ms, lambda now: net.partition(ga, gb, up=True))
-    elif ev.kind == "set_link":
-        params = a["link"].params()
-        pairs = [(a["a"], a["b"])] + ([(a["b"], a["a"])] if a.get("symmetric", True) else [])
-        def apply_links(now, pairs=pairs, params=params):
-            for x, y in pairs:
-                net.set_link(x, y, params)
-        net.schedule_call(ev.at_ms, apply_links)
-    elif ev.kind == "set_all_links":
-        params = a["link"].params()
-        def apply_all(now, params=params):
-            for x in range(n):
-                for y in range(n):
-                    if x != y:
-                        net.set_link(x, y, params)
-        net.schedule_call(ev.at_ms, apply_all)
-    elif ev.kind == "slow_node":
-        node, params = a["node"], a["link"].params()
-        def apply_slow(now, node=node, params=params):
-            for other in range(n):
-                if other != node:
-                    net.set_link(node, other, params)
-                    net.set_link(other, node, params)
-        net.schedule_call(ev.at_ms, apply_slow)
+    elif ev.kind in ("partition", "heal"):
+        up = ev.kind == "heal"
+        net.schedule_call(ev.at_ms, lambda now: net.partition(a["group_a"], a["group_b"], up=up))
     elif ev.kind == "set_workload":
-        changes = dict(a)
-        def apply_wl(now, changes=changes):
-            for key, val in changes.items():
-                setattr(wstate, key, val)
-        net.schedule_call(ev.at_ms, apply_wl)
-    else:  # pragma: no cover - parser rejects unknown kinds
-        raise ValueError(f"unknown fault kind {ev.kind}")
+        net.schedule_call(ev.at_ms, lambda now: vars(workload).update(a))
+    else:
+        pairs = FAULT_KINDS[ev.kind].links(a, n)
+        net.schedule_call(ev.at_ms, lambda now: _edit_links(net, pairs, a["link"]))
 
 
 def run_scenario(sc: Scenario, extra_trace=None, drain_ms: float = 0.0) -> RunResult:
@@ -106,9 +88,7 @@ def run_scenario(sc: Scenario, extra_trace=None, drain_ms: float = 0.0) -> RunRe
     )
     net.set_all_links(ids, sc.links.params(), sc.persist.params())
     for ov in sc.link_overrides:
-        net.set_link(ov.a, ov.b, ov.link.params())
-        if ov.symmetric:
-            net.set_link(ov.b, ov.a, ov.link.params())
+        _edit_links(net, ov.pairs, ov.link)
 
     traces: list[tuple] = []
     commit_events: list[tuple] = []
@@ -132,7 +112,7 @@ def run_scenario(sc: Scenario, extra_trace=None, drain_ms: float = 0.0) -> RunRe
         net.add_node(i, r)
         replicas.append(r)
 
-    wstate = WorkloadState.from_spec(sc.workload)
+    workload = replace(sc.workload)  # set_workload faults change this copy only
     history: list[OpRecord] = []
     duration = sc.workload.duration_ms
     for i in range(sc.workload.clients):
@@ -141,7 +121,7 @@ def run_scenario(sc: Scenario, extra_trace=None, drain_ms: float = 0.0) -> RunRe
             env=net.env(cid),
             cid=cid,
             n=sc.n,
-            state=wstate,
+            state=workload,
             seed=sc.seed,
             retry_ms=sc.workload.retry_ms,
             start_ms=sc.workload.start_ms + i * 0.205,
@@ -160,13 +140,12 @@ def run_scenario(sc: Scenario, extra_trace=None, drain_ms: float = 0.0) -> RunRe
             follower=follower,
             key=sc.follower_reads.key,
             interval_ms=sc.follower_reads.interval_ms,
-            on_sample=lambda t, key, version: None,  # sampled at serve time via trace
         )
         net.add_node(cid, reader)
         reader.start()
 
     for ev in sc.faults:
-        _schedule_fault(net, ev, sc.n, wstate)
+        _schedule_fault(net, ev, sc.n, workload)
 
     net.run(duration + drain_ms)
 

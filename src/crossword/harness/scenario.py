@@ -1,13 +1,18 @@
 """Scenario files: one YAML document describing a cluster, a workload, link
 parameters, and a timed fault schedule. Every field has an embedded default,
 so the minimal file is ``{n, protocol, workload}``. Parse errors name the
-offending field by dotted path."""
+offending field by dotted path.
+
+Each fault kind declares its arguments once, in `FAULT_KINDS`. A link edit
+(a `link_overrides` row, or a `set_link`, `set_all_links` or `slow_node`
+fault) changes only the link fields it names; the others keep the edited
+link's current value, and only `partition` and `heal` cut or restore a
+link."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
-
-import yaml
+from dataclasses import dataclass, field, fields, replace
+from typing import Callable
 
 from ..assignment import ClusterParams
 from ..protocol.replica import ReplicaConfig
@@ -45,8 +50,11 @@ class WorkloadSpec:
 
 @dataclass
 class LinkSpec:
-    delay_ms: float = 4.0
-    bandwidth_bytes_per_ms: float = 1.0 * GBPS_TO_BYTES_PER_MS
+    """A link's delay and bandwidth. `links` and `persist` set both; a link
+    edit leaves a field it does not name None."""
+
+    delay_ms: float | None = 4.0
+    bandwidth_bytes_per_ms: float | None = 1.0 * GBPS_TO_BYTES_PER_MS
 
     def params(self) -> LinkParams:
         return LinkParams(self.delay_ms, self.bandwidth_bytes_per_ms)
@@ -54,16 +62,17 @@ class LinkSpec:
 
 @dataclass
 class LinkOverride:
-    a: int
-    b: int
+    """A link edit applied before the run: the fields `link` names, on each
+    directed replica pair in `pairs`."""
+
+    pairs: list[tuple[int, int]]
     link: LinkSpec
-    symmetric: bool = True
 
 
 @dataclass
 class FaultEvent:
     at_ms: float
-    kind: str  # crash|restart|partition|heal|set_link|set_all_links|slow_node|set_workload
+    kind: str  # a key of FAULT_KINDS
     args: dict = field(default_factory=dict)
 
 
@@ -83,16 +92,6 @@ class Scenario(ReplicaConfig):
 
 _PROTOCOLS = ("crossword", "multipaxos", "rspaxos")
 _CHOOSERS = ("regression", "fixed")
-_FAULT_KINDS = (
-    "crash",
-    "restart",
-    "partition",
-    "heal",
-    "set_link",
-    "set_all_links",
-    "slow_node",
-    "set_workload",
-)
 
 
 def _expect(cond: bool, path: str, reason: str) -> None:
@@ -155,35 +154,38 @@ def _no_strays(raw: dict, known: set[str], path: str) -> None:
             raise ScenarioError(f"{path}.{key}" if path else str(key), "unknown field")
 
 
-def _take(raw: dict, spec_obj, parsers: dict, path: str):
-    """Apply `parsers` (name -> parser(raw_value, path)) over raw onto spec_obj."""
+def _fields(raw: dict, parsers: dict, path: str, *ctx) -> dict:
+    """The fields of `raw`, each parsed by parsers[name](value, path, *ctx);
+    a field that `parsers` does not name is an error."""
     _no_strays(raw, set(parsers), path)
-    for name, parse in parsers.items():
-        if name in raw:
-            setattr(spec_obj, name, parse(raw[name], f"{path}.{name}" if path else name))
-    return spec_obj
+    return {
+        name: parse(raw[name], f"{path}.{name}" if path else name, *ctx)
+        for name, parse in parsers.items()
+        if name in raw
+    }
 
 
-def _parse_link(raw, path) -> LinkSpec:
+_LINK_FIELDS = {
+    "delay_ms": lambda v, p: _number(v, p, lo=0.0),
+    "bandwidth_bytes_per_ms": lambda v, p: _number(v, p, lo=1e-9),
+    "bandwidth_gbps": lambda v, p: _number(v, p, lo=1e-9) * GBPS_TO_BYTES_PER_MS,
+}
+# what a link edit starts from: every field it does not name stays None
+_EDIT = LinkSpec(delay_ms=None, bandwidth_bytes_per_ms=None)
+
+
+def _parse_link(raw, path, base: LinkSpec) -> LinkSpec:
+    """`base` with the fields that the link block `raw` names."""
     raw = _mapping(raw, path)
-    _no_strays(raw, {"delay_ms", "bandwidth_bytes_per_ms", "bandwidth_gbps"}, path)
     _expect(
         not ("bandwidth_bytes_per_ms" in raw and "bandwidth_gbps" in raw),
         path,
         "give bandwidth_bytes_per_ms or bandwidth_gbps, not both",
     )
-    spec = LinkSpec()
-    if "delay_ms" in raw:
-        spec.delay_ms = _number(raw["delay_ms"], f"{path}.delay_ms", lo=0.0)
-    if "bandwidth_bytes_per_ms" in raw:
-        spec.bandwidth_bytes_per_ms = _number(
-            raw["bandwidth_bytes_per_ms"], f"{path}.bandwidth_bytes_per_ms", lo=1e-9
-        )
-    if "bandwidth_gbps" in raw:
-        spec.bandwidth_bytes_per_ms = (
-            _number(raw["bandwidth_gbps"], f"{path}.bandwidth_gbps", lo=1e-9) * GBPS_TO_BYTES_PER_MS
-        )
-    return spec
+    named = _fields(raw, _LINK_FIELDS, path)
+    if "bandwidth_gbps" in named:
+        named["bandwidth_bytes_per_ms"] = named.pop("bandwidth_gbps")
+    return replace(base, **named)
 
 
 def _parse_value_mixture(raw, path) -> tuple[tuple[int, float], ...]:
@@ -218,12 +220,6 @@ _WORKLOAD_FIELDS = {
     "start_ms": lambda v, p: _number(v, p, lo=0.0),
     "value_mixture": _parse_value_mixture,
 }
-# the workload fields a set_workload fault may change mid-run
-_SET_WORKLOAD_FIELDS = {
-    name: _WORKLOAD_FIELDS[name]
-    for name in ("put_ratio", "value_mean_bytes", "value_stddev_ratio", "key_count", "key_dist")
-}
-
 # the replica's specs: section name -> field parsers, each with its bound
 _SPECS = {
     "gossip": {
@@ -248,7 +244,67 @@ _SPECS = {
 
 
 def _parse_workload(raw, path) -> WorkloadSpec:
-    return _take(_mapping(raw, path), WorkloadSpec(), _WORKLOAD_FIELDS, path)
+    return WorkloadSpec(**_fields(_mapping(raw, path), _WORKLOAD_FIELDS, path))
+
+
+def _node(raw, path, n: int) -> int:
+    return _integer(raw, path, lo=0, hi=n - 1)
+
+
+def _group(raw, path, n: int) -> list[int]:
+    _expect(isinstance(raw, list) and raw, path, "expected a non-empty list of node ids")
+    return [_node(v, f"{path}[{i}]", n) for i, v in enumerate(raw)]
+
+
+@dataclass(frozen=True)
+class FaultKind:
+    """A fault kind's arguments, name -> (parser(raw, path, n), required),
+    and for a link edit the directed replica pairs it changes, given its
+    arguments and the cluster size."""
+
+    args: dict[str, tuple[Callable, bool]]
+    links: Callable[[dict, int], list[tuple[int, int]]] | None = None
+
+
+_NODE = (_node, True)
+_GROUPS = {"group_a": (_group, True), "group_b": (_group, True)}
+_FLAG = (lambda v, p, n: _boolean(v, p), False)
+_LINK_EDIT = (lambda v, p, n: _parse_link(v, p, _EDIT), True)
+
+FAULT_KINDS = {
+    "crash": FaultKind({"node": _NODE}),
+    "restart": FaultKind({"node": _NODE}),
+    "partition": FaultKind(_GROUPS),
+    "heal": FaultKind(_GROUPS),
+    "set_link": FaultKind(
+        {"a": _NODE, "b": _NODE, "symmetric": _FLAG, "link": _LINK_EDIT},
+        lambda a, n: [(a["a"], a["b"]), (a["b"], a["a"])][: 2 if a.get("symmetric", True) else 1],
+    ),
+    "set_all_links": FaultKind(
+        {"link": _LINK_EDIT},
+        lambda a, n: [(x, y) for x in range(n) for y in range(n) if x != y],
+    ),
+    "slow_node": FaultKind(
+        {"node": _NODE, "link": _LINK_EDIT},
+        lambda a, n: [pair for o in range(n) if o != a["node"]
+                      for pair in ((a["node"], o), (o, a["node"]))],
+    ),
+    # the workload fields that may change mid-run
+    "set_workload": FaultKind({
+        name: (lambda v, p, n, parse=_WORKLOAD_FIELDS[name]: parse(v, p), False)
+        for name in ("put_ratio", "value_mean_bytes", "value_stddev_ratio", "key_count", "key_dist")
+    }),
+}
+# a link_overrides row holds set_link's arguments, with the link fields inline
+_OVERRIDE_ARGS = {name: arg for name, arg in FAULT_KINDS["set_link"].args.items() if name != "link"}
+
+
+def _args(spec: dict, raw: dict, path: str, n: int) -> dict:
+    """`raw` parsed by `spec` (name -> (parser, required))."""
+    args = _fields(raw, {name: parse for name, (parse, _) in spec.items()}, path, n)
+    for name, (_, required) in spec.items():
+        _expect(name in args or not required, f"{path}.{name}", "required")
+    return args
 
 
 def _parse_fault(raw, path, n: int, workload: WorkloadSpec) -> FaultEvent:
@@ -256,65 +312,18 @@ def _parse_fault(raw, path, n: int, workload: WorkloadSpec) -> FaultEvent:
     _expect("at_ms" in raw, f"{path}.at_ms", "required")
     _expect("kind" in raw, f"{path}.kind", "required")
     at = _number(raw["at_ms"], f"{path}.at_ms", lo=0.0)
-    kind = _choice(raw["kind"], f"{path}.kind", _FAULT_KINDS)
+    kind = _choice(raw["kind"], f"{path}.kind", tuple(FAULT_KINDS))
     rest = {k: v for k, v in raw.items() if k not in ("at_ms", "kind")}
-    args: dict = {}
-    node_field = lambda v, p: _integer(v, p, lo=0, hi=n - 1)
-    group_field = lambda v, p: _parse_group(v, p, n)
-    if kind in ("crash", "restart"):
-        _take(rest, _Bag(args), {"node": node_field}, path)
-        _expect("node" in args, f"{path}.node", "required")
-    elif kind in ("partition", "heal"):
-        _take(rest, _Bag(args), {"group_a": group_field, "group_b": group_field}, path)
-        _expect("group_a" in args, f"{path}.group_a", "required")
-        _expect("group_b" in args, f"{path}.group_b", "required")
-    elif kind == "set_link":
-        _take(
-            rest,
-            _Bag(args),
-            {
-                "a": node_field,
-                "b": node_field,
-                "link": _parse_link,
-                "symmetric": _boolean,
-            },
-            path,
-        )
-        _expect("a" in args and "b" in args, path, "set_link needs a and b")
-        _expect("link" in args, f"{path}.link", "required")
-        args.setdefault("symmetric", True)
-    elif kind == "set_all_links":
-        _take(rest, _Bag(args), {"link": _parse_link}, path)
-        _expect("link" in args, f"{path}.link", "required")
-    elif kind == "slow_node":
-        _take(rest, _Bag(args), {"node": node_field, "link": _parse_link}, path)
-        _expect("node" in args, f"{path}.node", "required")
-        _expect("link" in args, f"{path}.link", "required")
-    elif kind == "set_workload":
-        _take(rest, _Bag(args), _SET_WORKLOAD_FIELDS, path)
-        _expect(bool(args), path, "set_workload changes at least one field")
-        if workload.value_mixture:
-            for name in ("value_mean_bytes", "value_stddev_ratio"):
-                _expect(
-                    name not in args, f"{path}.{name}",
-                    "has no effect: the workload draws value sizes from value_mixture",
-                )
+    args = _args(FAULT_KINDS[kind].args, rest, path, n)
+    # a kind whose arguments are all optional (set_workload) must name one
+    _expect(bool(args), path, f"{kind} changes at least one field")
+    if kind == "set_workload" and workload.value_mixture:
+        for name in ("value_mean_bytes", "value_stddev_ratio"):
+            _expect(
+                name not in args, f"{path}.{name}",
+                "has no effect: the workload draws value sizes from value_mixture",
+            )
     return FaultEvent(at_ms=at, kind=kind, args=args)
-
-
-class _Bag:
-    """Dict with attribute assignment, so _take can fill plain dicts."""
-
-    def __init__(self, target: dict):
-        object.__setattr__(self, "_t", target)
-
-    def __setattr__(self, name, value):
-        self._t[name] = value
-
-
-def _parse_group(raw, path, n: int) -> list[int]:
-    _expect(isinstance(raw, list) and raw, path, "expected a non-empty list of node ids")
-    return [_integer(v, f"{path}[{i}]", lo=0, hi=n - 1) for i, v in enumerate(raw)]
 
 
 def _parse_link_overrides(raw, path, n: int) -> list[LinkOverride]:
@@ -323,17 +332,10 @@ def _parse_link_overrides(raw, path, n: int) -> list[LinkOverride]:
     for i, row in enumerate(raw):
         p = f"{path}[{i}]"
         row = _mapping(row, p)
-        _no_strays(row, {"a", "b", "symmetric", "delay_ms", "bandwidth_bytes_per_ms", "bandwidth_gbps"}, p)
-        _expect("a" in row and "b" in row, p, "needs a and b")
-        link = _parse_link({k: v for k, v in row.items() if k not in ("a", "b", "symmetric")}, p)
-        out.append(
-            LinkOverride(
-                a=_integer(row["a"], f"{p}.a", lo=0, hi=n - 1),
-                b=_integer(row["b"], f"{p}.b", lo=0, hi=n - 1),
-                link=link,
-                symmetric=_boolean(row.get("symmetric", True), f"{p}.symmetric"),
-            )
-        )
+        link = {k: v for k, v in row.items() if k in _LINK_FIELDS}
+        args = _args(_OVERRIDE_ARGS, {k: v for k, v in row.items() if k not in link}, p, n)
+        pairs = FAULT_KINDS["set_link"].links(args, n)
+        out.append(LinkOverride(pairs, _parse_link(link, p, _EDIT)))
     return out
 
 
@@ -357,18 +359,17 @@ def parse_scenario(doc, source: str = "<scenario>") -> Scenario:
     )
     for name, parsers in _SPECS.items():
         if name in doc:
-            _take(_mapping(doc[name], name), getattr(sc, name), parsers, name)
+            vars(getattr(sc, name)).update(_fields(_mapping(doc[name], name), parsers, name))
     rest = {k: v for k, v in doc.items() if k not in ("n", "protocol", "workload", *_SPECS)}
-    _take(
+    top = _fields(
         rest,
-        sc,
         {
             "chooser": lambda v, p: _choice(v, p, _CHOOSERS),
             "fixed_q": lambda v, p: _integer(v, p, lo=0, hi=n),
             "fixed_c": lambda v, p: _integer(v, p, lo=0, hi=n),
             "seed": _integer,
-            "links": _parse_link,
-            "persist": _parse_link,
+            "links": lambda v, p: _parse_link(v, p, sc.links),
+            "persist": lambda v, p: _parse_link(v, p, sc.persist),
             "link_overrides": lambda v, p: _parse_link_overrides(v, p, n),
             "batching_ms": lambda v, p: _number(v, p, lo=0.1),
             "snapshot_stride": lambda v, p: _integer(v, p, lo=0),
@@ -378,6 +379,7 @@ def parse_scenario(doc, source: str = "<scenario>") -> Scenario:
         },
         "",
     )
+    vars(sc).update(top)
     if sc.chooser == "fixed" and sc.protocol == "crossword":
         _expect(sc.fixed_q >= 1, "fixed_q", "required when chooser is fixed")
         _expect(sc.fixed_c >= 1, "fixed_c", "required when chooser is fixed")
@@ -396,6 +398,8 @@ def parse_scenario(doc, source: str = "<scenario>") -> Scenario:
 
 
 def load_scenario(path: str) -> Scenario:
+    import yaml  # only a scenario file needs the YAML parser
+
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = yaml.safe_load(fh)

@@ -5,10 +5,9 @@ matched to writes without retaining megabyte blobs in histories."""
 
 from __future__ import annotations
 
-import math
 import random
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..protocol import wire
 from .scenario import WorkloadSpec
@@ -24,32 +23,6 @@ class OpRecord:
     invoke_ms: float
     respond_ms: float | None = None  # None while pending
     version: int = 0
-
-
-@dataclass
-class WorkloadState:
-    """Mutable knobs shared by all clients; fault events may rewrite them
-    mid-run (payload shrink, mix change)."""
-
-    put_ratio: float
-    value_mean_bytes: int
-    value_stddev_ratio: float
-    key_count: int
-    key_dist: str
-    zipf_theta: float
-    value_mixture: tuple[tuple[int, float], ...] | None = None
-
-    @classmethod
-    def from_spec(cls, w: WorkloadSpec) -> "WorkloadState":
-        return cls(
-            put_ratio=w.put_ratio,
-            value_mean_bytes=w.value_mean_bytes,
-            value_stddev_ratio=w.value_stddev_ratio,
-            key_count=w.key_count,
-            key_dist=w.key_dist,
-            zipf_theta=w.zipf_theta,
-            value_mixture=w.value_mixture,
-        )
 
 
 class ZipfPicker:
@@ -107,14 +80,16 @@ def token_of(value: bytes) -> str:
 
 class ClosedLoopClient:
     """Drives Put/Get traffic at one node id; keeps its own RNG stream so
-    runs are deterministic per (scenario seed, client id)."""
+    runs are deterministic per (scenario seed, client id). `state` is the
+    run's workload, shared by all clients, which set_workload faults
+    rewrite mid-run."""
 
     def __init__(
         self,
         env,
         cid: int,
         n: int,
-        state: WorkloadState,
+        state: WorkloadSpec,
         seed,
         retry_ms: float,
         start_ms: float,
@@ -254,27 +229,24 @@ class ClosedLoopClient:
 
 
 class FollowerReader:
-    """Staleness probe: polls one follower for a single key via local reads;
-    samples are (time, observed version) pairs, never part of the
-    linearizability history."""
+    """Staleness probe: polls one follower for a single key via local reads.
+    The follower traces each read it serves ("follower_read"), and the
+    runner samples staleness from that trace, so the reader ignores the
+    replies. Its reads are never part of the linearizability history."""
 
-    def __init__(self, env, cid: int, follower: int, key: str, interval_ms: float, on_sample):
+    def __init__(self, env, cid: int, follower: int, key: str, interval_ms: float):
         self.env = env
         self.cid = cid
         self.follower = follower
         self.key = key
         self.interval_ms = interval_ms
-        self.on_sample = on_sample
         self.seq = 0
 
     def start(self) -> None:
         self.env.set_timer(self.interval_ms, ("read",))
 
     def on_message(self, src: int, msg, now: float) -> None:
-        if isinstance(msg, wire.ClientReply):
-            for e in msg.entries:
-                if e.client == self.cid:
-                    self.on_sample(now, self.key, e.version)
+        pass
 
     def on_timer(self, tag, now: float) -> None:
         if tag == ("read",):

@@ -16,6 +16,7 @@ declaration. The annotations, all big-endian:
 - `IdxSet`: u16 count, then the u16 indices in ascending order.
 - `Shards`: u16 count, then per shard in ascending index order a u16
   index and a blob.
+  In both, an index that does not exceed the one before it is malformed.
 - `List16[T]`, `List32[T]`: a u16 or u32 count, then each record `T`'s own
   declared fields.
 
@@ -70,6 +71,7 @@ class MalformedMessageError(ValueError):
 
 
 _TRUNCATED = "truncated message"
+_UNORDERED = "shard indices not strictly ascending"
 _U16 = struct.Struct("!H")
 _SHARD_HEAD = struct.Struct("!HI")  # index, length
 
@@ -124,7 +126,10 @@ class _IdxSet:
         n = _U16.unpack_from(buf, off)[0]
         if off + 2 + 2 * n > end:
             raise MalformedMessageError(_TRUNCATED)
-        vals.append(frozenset(struct.unpack_from(f"!{n}H", buf, off + 2)))
+        idxs = struct.unpack_from(f"!{n}H", buf, off + 2)
+        if any(a >= b for a, b in zip(idxs, idxs[1:])):
+            raise MalformedMessageError(_UNORDERED)
+        vals.append(frozenset(idxs))
         return off + 2 + 2 * n
 
 
@@ -143,8 +148,12 @@ class _Shards:
         count = _U16.unpack_from(buf, off)[0]
         off += 2
         sh = {}
+        last = -1
         for _ in range(count):
             idx, n = _SHARD_HEAD.unpack_from(buf, off)
+            if idx <= last:
+                raise MalformedMessageError(_UNORDERED)
+            last = idx
             start = off + 6
             off = start + n
             if off > end:

@@ -3,7 +3,11 @@ runner determinism and safety checks, the explorer grid, metrics shapes, and
 the CLI subcommands."""
 
 import json
+import os
 import re
+import subprocess
+import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -26,7 +30,7 @@ from crossword.harness import (
 from crossword.harness.cli import main
 from crossword.harness.linearize import check_linearizable, from_history
 from crossword.harness.scenario import WorkloadSpec
-from crossword.harness.workload import ClosedLoopClient, WorkloadState, ZipfPicker
+from crossword.harness.workload import ClosedLoopClient, ZipfPicker
 from crossword.protocol import wire
 from crossword.simnet import LinkParams, SimNet
 from crossword.assignment import ClusterParams
@@ -123,6 +127,8 @@ def test_yaml_float_read_as_text_is_named():
     assert "'1.0e6'" in err.value.reason and "1.0e+6" in err.value.reason
     doc["persist"] = yaml.safe_load("{bandwidth_bytes_per_ms: 1.0e+6}")
     assert parse_scenario(doc).persist.bandwidth_bytes_per_ms == 1_000_000.0
+    # the delay it does not name keeps the persist default
+    assert parse_scenario(doc).persist.delay_ms == 0.05
 
 
 def test_scenario_yaml_file_round_trip(tmp_path):
@@ -257,7 +263,7 @@ def test_redirected_op_retries_at_its_first_deadline():
     net.add_node(0, Redirector())
     net.add_node(1, Silent())
     net.add_node(2, Silent())
-    state = WorkloadState.from_spec(WorkloadSpec())
+    state = WorkloadSpec()
     client = ClosedLoopClient(net.env(9), 9, 3, state, 1, 50.0, 0.0, [], stop_ms=1.0)
     net.add_node(9, client)
     net.set_all_links([0, 1, 2, 9], LinkParams(2.0, 1e6), LinkParams(0.0, 1e6))
@@ -326,37 +332,71 @@ def test_set_workload_shifts_chosen_config():
     late = {ev[3] for ev in res.commit_events if ev[6] > 4000.0}
     assert early == {3}  # tiny values: latency tie broken toward smallest q, c = m
     assert late == {1}  # 256 KB values: transfer-bound, one shard per follower
+    # the fault changed the run's copy of the workload, not the scenario's
+    assert sc.workload.value_mean_bytes == 64
 
 
 def test_slow_node_fault_is_applied_and_run_completes():
-    sc = parse_scenario(
-        minimal(
-            n=5,
-            faults=[
-                {
-                    "at_ms": 500.0,
-                    "kind": "slow_node",
-                    "node": 4,
-                    "link": {"delay_ms": 40.0, "bandwidth_gbps": 0.05},
-                }
-            ],
-        )
-    )
-    res = run_scenario(sc)
-    assert res.net.links[(4, 0)].delay_ms == 40.0
-    assert res.net.links[(0, 4)].delay_ms == 40.0
-    assert res.net.links[(0, 1)].delay_ms == 4.0
-    assert res.report.summary["ops_completed"] > 0
+    slow = {
+        "at_ms": 500.0,
+        "kind": "slow_node",
+        "node": 4,
+        "link": {"delay_ms": 40.0, "bandwidth_gbps": 0.05},
+    }
+    # a later set_all_links that names only the bandwidth keeps every delay
+    cut = {"at_ms": 800.0, "kind": "set_all_links", "link": {"bandwidth_gbps": 0.5}}
+    for faults, bandwidth in (([slow], 6_250.0), ([slow, cut], 62_500.0)):
+        res = run_scenario(parse_scenario(minimal(n=5, faults=faults)))
+        assert res.net.links[(4, 0)].delay_ms == 40.0
+        assert res.net.links[(0, 4)].delay_ms == 40.0
+        assert res.net.links[(0, 1)].delay_ms == 4.0
+        assert res.net.links[(4, 0)].bandwidth_bytes_per_ms == bandwidth
+        assert res.report.summary["ops_completed"] > 0
 
 
 def test_link_override_changes_one_pair_only():
-    sc = parse_scenario(
-        minimal(n=3, link_overrides=[{"a": 0, "b": 2, "delay_ms": 9.0, "bandwidth_gbps": 1.0}])
+    for links, row, bandwidth in (
+        ({}, {"delay_ms": 9.0, "bandwidth_gbps": 1.0}, 125_000.0),
+        # a row that names only the delay keeps the cluster's 10 Gb/s
+        ({"links": {"delay_ms": 4.0, "bandwidth_gbps": 10.0}}, {"delay_ms": 9.0}, 1_250_000.0),
+    ):
+        sc = parse_scenario(minimal(n=3, link_overrides=[{"a": 0, "b": 2, **row}], **links))
+        res = run_scenario(sc)
+        assert res.net.links[(0, 2)].delay_ms == 9.0
+        assert res.net.links[(2, 0)].delay_ms == 9.0
+        assert res.net.links[(0, 1)].delay_ms == 4.0
+        assert res.net.links[(2, 0)].bandwidth_bytes_per_ms == bandwidth
+
+
+EDITED = LinkParams(9.0, 62_500.0)  # delay_ms 9, 0.5 Gb/s
+
+
+@pytest.mark.parametrize(
+    "fault, link_1_2",
+    [
+        ({"kind": "set_all_links"}, EDITED),
+        ({"kind": "slow_node", "node": 0}, LinkParams(4.0, 125_000.0)),
+        ({"kind": "set_link", "a": 0, "b": 1}, LinkParams(4.0, 125_000.0)),
+    ],
+    ids=["set_all_links", "slow_node", "set_link"],
+)
+def test_link_fault_keeps_a_cut_until_heal(fault, link_1_2):
+    """A link fault inside a partition changes the speed of the cut links,
+    and only the heal brings them back up."""
+    cut = {"group_a": [0], "group_b": [1, 2]}
+    doc = minimal(
+        n=3,
+        faults=[
+            {"at_ms": 100.0, "kind": "partition", **cut},
+            {"at_ms": 200.0, "link": {"delay_ms": 9.0, "bandwidth_gbps": 0.5}, **fault},
+            {"at_ms": 400.0, "kind": "heal", **cut},
+        ],
     )
-    res = run_scenario(sc)
-    assert res.net.links[(0, 2)].delay_ms == 9.0
-    assert res.net.links[(2, 0)].delay_ms == 9.0
-    assert res.net.links[(0, 1)].delay_ms == 4.0
+    for duration, up in ((300.0, False), (600.0, True)):
+        doc["workload"]["duration_ms"] = duration
+        links = run_scenario(parse_scenario(doc)).net.links
+        assert links[(0, 1)] == links[(1, 0)] == replace(EDITED, up=up)
+        assert links[(1, 2)] == link_1_2
 
 
 def test_staleness_zero_without_writes():
@@ -477,6 +517,22 @@ def test_cli_linearize_violation_exits_2(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "witness" in out
     assert (tmp_path / "h.jsonl.witness.jsonl").exists()
+
+
+def test_fingerprint_script_runs():
+    env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+    script = str(REPO / "benchmarks" / "fingerprint.py")
+    lines = []
+    for source in (["--workload", "small-rw", "--seeds", "1"],
+                   ["--scenario", str(REPO / "scenarios" / "quickstart.yaml"), "--seeds", "1-2"]):
+        proc = subprocess.run(
+            [sys.executable, script, *source], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr
+        lines += proc.stdout.splitlines()
+    assert [line.split()[0] for line in lines] == ["1", "1", "2"]
+    assert all(re.fullmatch(r"\d+ [0-9a-f]{64}", line) for line in lines)
+    assert lines[1].split()[1] != lines[2].split()[1]  # each seed is its own run
 
 
 def test_cli_staleness_outputs_samples(tmp_path, capsys):

@@ -170,6 +170,18 @@ def test_malformed_inputs_rejected():
         raw[at] = value
         with pytest.raises(MalformedMessageError):
             decode(bytes(raw))
+    # a repeated index: shards {1, 2} or persisted {1, 2} with the 2 rewritten
+    # to 1 would decode to a smaller message than the bytes received
+    acc = encode(Accept(0, 9, 6, 4, 2, 2, 0xAB, {1: b"ab", 2: b"cd"}, 1.0))
+    ack = encode(AcceptReply(3, 9, 6, True, 6, frozenset({1, 2}), 1.0))
+    # the second index is a u16 2 followed by the shard's blob, or by the
+    # reply's f64 echo of 1.0
+    for raw, second in ((acc, b"\x00\x02\x00\x00\x00\x02cd"), (ack, b"\x00\x02\x3f\xf0")):
+        at = raw.index(second) + 1
+        raw = bytearray(raw)
+        raw[at] = 1
+        with pytest.raises(MalformedMessageError):
+            decode(bytes(raw))
 
 
 def _old_payload_nbytes(msg):
