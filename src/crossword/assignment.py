@@ -48,7 +48,10 @@ class ClusterParams:
             raise InvalidParameterError("f must lie in [0, n - m]")
 
     @classmethod
+    @lru_cache(maxsize=None)
     def for_cluster(cls, n: int) -> "ClusterParams":
+        """The parameters of an n-server cluster: one object per n, so the
+        replicas of a cluster share one `scheme` object."""
         m = (n + 1) // 2
         return cls(n=n, m=m, f=n - m, scheme=CodingScheme(n, m))
 

@@ -4,6 +4,16 @@ A payload is striped into d data shards (zero-padded to a multiple of d) and
 extended with p parity shards from a Cauchy-derived generator, so any d of
 the n_shards = d + p shards reconstruct the payload exactly.
 
+Every shard that stripes, encode or encode_shard returns is a `Shard`: bytes
+that remember the payload they were cut or coded from, their scheme and
+their index. Bytes are immutable, so such a shard equals shard `index` of
+encode(source, scheme) for as long as it lives, and any d of them carry
+exactly `source`. source_of reads that record back: when at least d shards,
+each at its own index, all come from one payload object, it returns that
+object, and a holder needs no GF decode and keeps no copy of its own.
+reconstruct is the GF decode itself and never looks at the record. Shards
+parsed off the wire are plain bytes and carry none.
+
 encode, reconstruct and encode_shard look gf_matmul up in this module at
 call time, so a wrapper set on `crossword.erasure.gf_matmul` sees every
 product.
@@ -23,10 +33,14 @@ __all__ = [
     "Codeword",
     "InsufficientShardsError",
     "InvalidSchemeError",
+    "Shard",
     "ShardMismatchError",
     "encode",
+    "encode_shard",
     "reconstruct",
     "shard_len",
+    "source_of",
+    "stripes",
 ]
 
 
@@ -72,8 +86,65 @@ class Codeword:
     payload_len: int
 
 
+class Shard(bytes):
+    """Shard `index` of `source` under `scheme`, as bytes. stripes, encode and
+    encode_shard make them; the source is a bytes object, so neither can
+    change. A Shard built any other way carries no source (the class
+    defaults), and source_of never takes it."""
+
+    source: bytes | None = None
+    scheme: CodingScheme | None = None
+    index: int = -1
+
+
+def _shard(buf, source: bytes, scheme: CodingScheme, index: int) -> Shard:
+    """A Shard of buf's bytes (a memoryview slice or a numpy row, copied
+    once). The leader tags every shard of every slot, and building the
+    instance dict whole is cheaper than a Python `__new__` that stores
+    three attributes."""
+    shard = Shard(buf)
+    shard.__dict__ = {"source": source, "scheme": scheme, "index": index}
+    return shard
+
+
 def shard_len(payload_len: int, scheme: CodingScheme) -> int:
     return -(-payload_len // scheme.d)
+
+
+def _stripe(payload: bytes, view: memoryview, scheme: CodingScheme, slen: int, i: int) -> Shard:
+    chunk = view[i * slen : (i + 1) * slen]
+    if len(chunk) < slen:  # the zero-padded tail
+        chunk = b"".join((chunk, bytes(slen - len(chunk))))
+    return _shard(chunk, payload, scheme, i)
+
+
+def stripes(payload: bytes, scheme: CodingScheme) -> tuple[Shard, ...]:
+    """The d data shards of payload: ceil(len/d)-byte slices, zero-padded
+    at the end. Concatenated they equal the padded payload (systematic)."""
+    slen = shard_len(len(payload), scheme)
+    view = memoryview(payload)
+    return tuple([_stripe(payload, view, scheme, slen, i) for i in range(scheme.d)])
+
+
+def source_of(present: dict[int, bytes], scheme: CodingScheme, payload_len: int) -> bytes | None:
+    """The payload that `present` carries, when the shards say so themselves:
+    at least d shards, every one a Shard of the same source object (compared
+    by identity), under this scheme, keyed by its own index, and the source
+    is payload_len long. Then reconstruct(present, scheme, payload_len)
+    would return bytes equal to it. Otherwise None, and the caller decodes."""
+    if len(present) < scheme.d:
+        return None
+    source = None
+    for idx, blob in present.items():
+        if type(blob) is not Shard or blob.index != idx:
+            return None
+        if blob.scheme is not scheme and blob.scheme != scheme:
+            return None
+        if source is None:
+            source = blob.source
+        elif blob.source is not source:
+            return None
+    return source if len(source) == payload_len else None
 
 
 _PARITY_CACHE: dict[tuple[int, int], np.ndarray] = {}
@@ -103,21 +174,25 @@ def _decode_rows(d: int, use: tuple[int, ...], missing: tuple[int, ...]) -> np.n
     return coeffs
 
 
-def encode(payload: bytes, scheme: CodingScheme) -> Codeword:
-    """Split payload into d stripes of ceil(len/d) bytes (zero-padded) and
-    append p parity shards. Shards 0..d-1 concatenated equal the padded
-    payload (systematic)."""
-    slen = shard_len(len(payload), scheme)
+def _data_matrix(payload: bytes, scheme: CodingScheme, slen: int) -> np.ndarray:
+    """The zero-padded payload as a (d, slen) array, the input of parity."""
     data = np.zeros((scheme.d, slen), dtype=np.uint8)
-    flat = np.frombuffer(payload, dtype=np.uint8)
     if slen:
-        padded = data.reshape(-1)
-        padded[: len(payload)] = flat
-    shards = [data[i].tobytes() for i in range(scheme.d)]
+        data.reshape(-1)[: len(payload)] = np.frombuffer(payload, dtype=np.uint8)
+    return data
+
+
+def encode(payload: bytes, scheme: CodingScheme) -> Codeword:
+    """The d data stripes of payload (see stripes) followed by p parity
+    shards."""
+    shards = stripes(payload, scheme)
     if scheme.p:
+        data = _data_matrix(payload, scheme, shard_len(len(payload), scheme))
         parity = gf_matmul(_parity_matrix(scheme), data)
-        shards.extend(parity[i].tobytes() for i in range(scheme.p))
-    return Codeword(scheme, tuple(shards), len(payload))
+        shards += tuple(
+            _shard(parity[i], payload, scheme, scheme.d + i) for i in range(scheme.p)
+        )
+    return Codeword(scheme, shards, len(payload))
 
 
 def reconstruct(present: dict[int, bytes], scheme: CodingScheme, payload_len: int) -> bytes:
@@ -164,16 +239,14 @@ def reconstruct(present: dict[int, bytes], scheme: CodingScheme, payload_len: in
     return b"".join(rows)[:payload_len]
 
 
-def encode_shard(payload: bytes, scheme: CodingScheme, index: int) -> bytes:
+def encode_shard(payload: bytes, scheme: CodingScheme, index: int) -> Shard:
     """Single shard of encode(payload, scheme) without materializing the rest
     of the parity block. Used when answering reconstruction reads from an
     already-decoded value."""
     slen = shard_len(len(payload), scheme)
     if index < scheme.d:
-        chunk = payload[index * slen : (index + 1) * slen]
-        return chunk + b"\x00" * (slen - len(chunk))
-    data = np.zeros((scheme.d, slen), dtype=np.uint8)
-    if slen:
-        data.reshape(-1)[: len(payload)] = np.frombuffer(payload, dtype=np.uint8)
+        return _stripe(payload, memoryview(payload), scheme, slen, index)
+    data = _data_matrix(payload, scheme, slen)
     row = index - scheme.d
-    return gf_matmul(_parity_matrix(scheme)[row : row + 1], data)[0].tobytes()
+    parity = gf_matmul(_parity_matrix(scheme)[row : row + 1], data)
+    return _shard(parity[0], payload, scheme, index)

@@ -307,6 +307,12 @@ def _args(spec: dict, raw: dict, path: str, n: int) -> dict:
     return args
 
 
+def _two_ends(args: dict, path: str) -> None:
+    """set_link's a and b name two nodes: a node's link to itself is its
+    persist link, which no link edit changes."""
+    _expect(args["a"] != args["b"], f"{path}.b", "must differ from a")
+
+
 def _parse_fault(raw, path, n: int, workload: WorkloadSpec) -> FaultEvent:
     raw = _mapping(raw, path)
     _expect("at_ms" in raw, f"{path}.at_ms", "required")
@@ -317,6 +323,8 @@ def _parse_fault(raw, path, n: int, workload: WorkloadSpec) -> FaultEvent:
     args = _args(FAULT_KINDS[kind].args, rest, path, n)
     # a kind whose arguments are all optional (set_workload) must name one
     _expect(bool(args), path, f"{kind} changes at least one field")
+    if kind == "set_link":
+        _two_ends(args, path)
     if kind == "set_workload" and workload.value_mixture:
         for name in ("value_mean_bytes", "value_stddev_ratio"):
             _expect(
@@ -334,6 +342,7 @@ def _parse_link_overrides(raw, path, n: int) -> list[LinkOverride]:
         row = _mapping(row, p)
         link = {k: v for k, v in row.items() if k in _LINK_FIELDS}
         args = _args(_OVERRIDE_ARGS, {k: v for k, v in row.items() if k not in link}, p, n)
+        _two_ends(args, p)
         pairs = FAULT_KINDS["set_link"].links(args, n)
         out.append(LinkOverride(pairs, _parse_link(link, p, _EDIT)))
     return out

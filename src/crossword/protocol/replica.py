@@ -48,7 +48,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable
 
 from ..assignment import ClusterParams, slot_policy
-from ..erasure import CodingScheme, encode, encode_shard, reconstruct, shard_len
+from ..erasure import CodingScheme, encode, encode_shard, reconstruct, source_of, stripes
 from ..quorum import Config, check_commit_rr, multipaxos_config, rspaxos_config
 from ..tuner import RttTuner
 from . import wire
@@ -155,7 +155,8 @@ class Instance:
     committed: bool = False
     commit_ballot: int = 0  # exact committing ballot when known, else 0
     commit_vid: int = 0  # vid of the committed value when known, else 0
-    payload: bytes | None = None  # volatile decoded value
+    # volatile decoded value; it may be the very object other replicas hold
+    payload: bytes | None = None
     # leader bookkeeping (volatile)
     replies: dict[int, frozenset[int]] = field(default_factory=dict)
     sent_sizes: dict[int, int] = field(default_factory=dict)
@@ -172,10 +173,17 @@ class Instance:
         return pool
 
 
-def _data_stripes(payload: bytes, scheme: CodingScheme) -> dict[int, bytes]:
-    slen = shard_len(len(payload), scheme)
-    padded = payload + b"\x00" * (scheme.d * slen - len(payload))
-    return {i: padded[i * slen : (i + 1) * slen] for i in range(scheme.d)}
+def _decode(pool: dict[int, bytes], scheme: CodingScheme, payload_len: int) -> bytes:
+    """The value a pool of at least d shards carries. When the shards were
+    cut or coded in this process, the payload they came from (source_of):
+    no GF work, and every replica that decodes the slot shares that one
+    object. Otherwise (shards parsed off the wire, say) a GF decode of the
+    d lowest indices."""
+    payload = source_of(pool, scheme, payload_len)
+    if payload is None:
+        chosen = {k: pool[k] for k in sorted(pool)[: scheme.d]}
+        payload = reconstruct(chosen, scheme, payload_len)
+    return payload
 
 
 class _SlotSums:
@@ -416,7 +424,7 @@ class Replica:
                         commit_ballot=inst.commit_ballot,
                         c=inst.c,
                         payload_len=inst.payload_len,
-                        shards=_data_stripes(inst.payload, self.params.scheme),
+                        shards=dict(enumerate(stripes(inst.payload, self.params.scheme))),
                     )
                 )
                 continue
@@ -530,8 +538,7 @@ class Replica:
                 if e.vid == target:
                     pool.update(e.shards)
             if len(pool) >= scheme.d:
-                chosen = {k: pool[k] for k in sorted(pool)[: scheme.d]}
-                out[slot] = ("repropose", reconstruct(chosen, scheme, ref.payload_len))
+                out[slot] = ("repropose", _decode(pool, scheme, ref.payload_len))
             elif committed_any:
                 out[slot] = ("partial", None)
                 self._note_partial(slot, entries, target)
@@ -658,8 +665,7 @@ class Replica:
         pool = inst.shard_pool()
         scheme = self.params.scheme
         if len(pool) >= scheme.d:
-            chosen = {k: pool[k] for k in sorted(pool)[: scheme.d]}
-            inst.payload = reconstruct(chosen, scheme, inst.payload_len)
+            inst.payload = _decode(pool, scheme, inst.payload_len)
             self._mark_known(slot, inst)
             self.trace("promote", self.id, slot, now)
         else:
@@ -761,9 +767,9 @@ class Replica:
         config = self._choose_config(len(payload), now)
         policy = slot_policy(self.params, config.c)
         if config.c >= scheme.d:
-            stripes = _data_stripes(payload, scheme)  # full copies: no coding
+            shards = stripes(payload, scheme)  # full copies: no coding
         else:
-            stripes = encode(payload, scheme).shards
+            shards = encode(payload, scheme).shards
         inst = self.log.setdefault(slot, Instance())
         self.max_slot = max(self.max_slot, slot)
         inst.ballot = self.current_ballot
@@ -784,11 +790,11 @@ class Replica:
         for p in self.peers:
             msg = wire.Accept(
                 self.id, slot, self.current_ballot, config.q, config.c, len(payload), vid,
-                {i: stripes[i] for i in sorted(policy.shards_of(p))}, now,
+                {i: shards[i] for i in sorted(policy.shards_of(p))}, now,
             )
             inst.sent_sizes[p] = wire.wire_size(msg)
             self.env.send(p, msg)
-        staged = {i: stripes[i] for i in sorted(policy.shards_of(self.id))}
+        staged = {i: shards[i] for i in sorted(policy.shards_of(self.id))}
         own_bytes = sum(len(b) for b in staged.values())
         self._pending_self[(slot, self.current_ballot)] = staged
         self.env.persist(max(own_bytes, 1), ("lp", slot, self.current_ballot))

@@ -1,6 +1,8 @@
 """Coding-layer tests. The reconstruction oracle is exhaustive subset
 enumeration; the field tables are checked against an independent bitwise
-multiply."""
+multiply. source_of, which reads a shard's record of its source, is checked
+to hit on every d-subset of shards this process made and to miss whenever
+the record does not prove the value."""
 
 import itertools
 import os
@@ -19,13 +21,18 @@ from crossword.erasure import (
     CodingScheme,
     InsufficientShardsError,
     InvalidSchemeError,
+    Shard,
     ShardMismatchError,
     encode,
     encode_shard,
     reconstruct,
+    shard_len,
+    source_of,
+    stripes,
 )
 from crossword.erasure._gfpure import gf_matmul as matmul_python
 from crossword.erasure._tables import MUL, generator_row, gf_matinv
+from crossword.protocol import wire
 
 
 def peasant_mul(a: int, b: int) -> int:
@@ -210,3 +217,89 @@ def test_bench_gf_script_runs():
     )
     assert proc.returncode == 0, proc.stderr
     assert "decode    1 MB worst" in proc.stdout
+
+
+def _tagged_shard_sets(payload: bytes, s: CodingScheme):
+    """The shards of payload as encode, stripes and encode_shard make them."""
+    cw = encode(payload, s)
+    yield dict(enumerate(cw.shards))
+    yield dict(enumerate(stripes(payload, s)))
+    yield {i: encode_shard(payload, s, i) for i in range(s.n_shards)}
+
+
+@pytest.mark.parametrize("size", [0, 1, 2, 3, 100, 1024])
+def test_source_of_returns_the_source_for_every_d_subset(size):
+    s = CodingScheme(5, 3)
+    payload = random.Random(size).randbytes(size)
+    for shards in _tagged_shard_sets(payload, s):
+        assert all(isinstance(sh, Shard) and sh.source is payload for sh in shards.values())
+        for k in range(s.d, len(shards) + 1):
+            for subset in itertools.combinations(sorted(shards), k):
+                present = {i: shards[i] for i in subset}
+                assert source_of(present, s, size) is payload
+                assert reconstruct(present, s, size) == payload
+
+
+def test_source_of_misses_below_d_shards():
+    s = CodingScheme(5, 3)
+    payload = b"x" * 100
+    for shards in _tagged_shard_sets(payload, s):
+        for subset in itertools.combinations(sorted(shards), 2):
+            assert source_of({i: shards[i] for i in subset}, s, 100) is None
+    assert source_of({}, s, 0) is None
+
+
+def test_source_of_misses_a_shard_at_another_index():
+    s = CodingScheme(5, 3)
+    payload = random.Random(5).randbytes(90)
+    cw = encode(payload, s)
+    assert source_of({0: cw.shards[0], 1: cw.shards[1], 2: cw.shards[3]}, s, 90) is None
+    assert source_of({0: cw.shards[1], 1: cw.shards[0], 2: cw.shards[2]}, s, 90) is None
+
+
+def test_source_of_misses_shards_of_two_payloads():
+    s = CodingScheme(5, 3)
+    a = random.Random(6).randbytes(90)
+    b = bytes(bytearray(a))  # equal bytes, another object: identity is the test
+    assert a == b and a is not b
+    ca, cb = encode(a, s), encode(b, s)
+    assert source_of({0: ca.shards[0], 1: ca.shards[1], 3: cb.shards[3]}, s, 90) is None
+    other = encode(random.Random(7).randbytes(90), s)
+    assert source_of({0: ca.shards[0], 1: other.shards[1], 2: ca.shards[2]}, s, 90) is None
+
+
+def test_source_of_misses_plain_bytes():
+    s = CodingScheme(5, 3)
+    payload = random.Random(8).randbytes(300)
+    cw = encode(payload, s)
+    assert source_of({0: cw.shards[0], 1: cw.shards[1], 2: bytes(cw.shards[2])}, s, 300) is None
+    # a Shard built by hand carries no source
+    assert source_of({0: cw.shards[0], 1: cw.shards[1], 2: Shard(cw.shards[2])}, s, 300) is None
+    # shards parsed off the wire carry no source
+    accept = wire.Accept(0, 4, 7, 5, 3, 300, 9, {i: cw.shards[i] for i in range(3)}, 1.0)
+    parsed, _ = wire.decode(wire.encode(accept))
+    assert parsed == accept
+    assert not any(isinstance(sh, Shard) for sh in parsed.shards.values())
+    assert source_of(parsed.shards, s, 300) is None
+    assert reconstruct(parsed.shards, s, 300) == payload
+
+
+def test_source_of_misses_another_scheme():
+    payload = random.Random(9).randbytes(120)
+    cw = encode(payload, CodingScheme(5, 3))
+    present = {i: cw.shards[i] for i in range(3)}
+    assert source_of(present, CodingScheme(5, 3), 120) is payload  # equal, not identical
+    assert source_of(present, CodingScheme(4, 3), 120) is None
+    assert source_of(present, CodingScheme(3, 3), 120) is None
+
+
+def test_source_of_misses_another_payload_len():
+    s = CodingScheme(5, 3)
+    payload = random.Random(10).randbytes(100)
+    present = {i: encode_shard(payload, s, i) for i in (1, 3, 4)}
+    assert source_of(present, s, 100) is payload
+    # 101 and 102 bytes give the same shard length as 100, so only the
+    # length test tells them apart
+    assert shard_len(101, s) == shard_len(102, s) == shard_len(100, s)
+    for other in (99, 101, 102, 0):
+        assert source_of(present, s, other) is None

@@ -368,6 +368,25 @@ def test_link_override_changes_one_pair_only():
         assert res.net.links[(2, 0)].bandwidth_bytes_per_ms == bandwidth
 
 
+@pytest.mark.parametrize(
+    "extra, path",
+    [
+        ({"faults": [{"at_ms": 10.0, "kind": "set_link", "a": 1, "b": 1,
+                      "link": {"delay_ms": 5.0}}]}, "faults[0].b"),
+        ({"link_overrides": [{"a": 0, "b": 2}, {"a": 2, "b": 2, "delay_ms": 5.0}]},
+         "link_overrides[1].b"),
+    ],
+    ids=["set_link", "link_overrides"],
+)
+def test_link_edit_from_a_node_to_itself_is_rejected(extra, path):
+    """A node's link to itself is its persist link; a link edit naming it
+    would retune the disk, so the file is refused."""
+    with pytest.raises(ScenarioError) as err:
+        parse_scenario(minimal(n=3, **extra))
+    assert err.value.path == path
+    assert err.value.reason == "must differ from a"
+
+
 EDITED = LinkParams(9.0, 62_500.0)  # delay_ms 9, 0.5 Gb/s
 
 
@@ -533,6 +552,22 @@ def test_fingerprint_script_runs():
     assert [line.split()[0] for line in lines] == ["1", "1", "2"]
     assert all(re.fullmatch(r"\d+ [0-9a-f]{64}", line) for line in lines)
     assert lines[1].split()[1] != lines[2].split()[1]  # each seed is its own run
+
+
+def test_memory_script_runs():
+    env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+    proc = subprocess.run(
+        [sys.executable, str(REPO / "benchmarks" / "memory.py"), "--workload", "small-rw"],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[1].split() == [
+        "replica", "at_ms", "slots", "payloads", "own", "gossip", "pinned", "queued", "total",
+    ]
+    labels = [line.split()[0] for line in lines[2:] if line[:1] == " "]
+    assert {f"r{i}" for i in range(5)} <= {label.rstrip("*") for label in labels}
+    assert any(label.startswith("all") for label in labels)
 
 
 def test_cli_staleness_outputs_samples(tmp_path, capsys):

@@ -4,7 +4,12 @@ known stale lease read (expected to fail); the shard policy a slot's config
 selects, and the value copies a replica keeps; then one replica driven
 message by message, for the deferral boundary, the outstanding shard asks of
 its gossip tick, the shards it answers with, the asks of a follower that does
-not yet know which value its slot committed, and a full-copy re-proposal."""
+not yet know which value its slot committed, and a full-copy re-proposal;
+last, that a follower taking the payload its shards were cut from simulates
+the same run as one that decodes them."""
+
+import importlib.util
+import pathlib
 
 import pytest
 
@@ -982,3 +987,70 @@ def test_prepare_entry_with_c_out_of_range_is_not_adopted():
     assert r._merge_votes()[0][0] == "partial"
     assert r.log[0].c == 0 and 0 in r.partial_queue
     assert [slot for _, wants in gossip_tick(r, env) for slot, _, _ in wants] == [0]
+
+
+def _fingerprint(result) -> str:
+    path = pathlib.Path(__file__).resolve().parent.parent / "benchmarks" / "fingerprint.py"
+    spec = importlib.util.spec_from_file_location("fingerprint", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.fingerprint(result)
+
+
+_SHARED_VALUE_RUNS = {
+    # every follower holds one shard per slot and repairs the rest by gossip
+    "c=1": {
+        "n": 5, "protocol": "crossword", "chooser": "fixed", "fixed_q": 5, "fixed_c": 1,
+        "seed": 5, "gossip": {"deferral_bytes": 20000},
+        "workload": {"clients": 2, "duration_ms": 600, "value_mean_bytes": 3000, "key_count": 8},
+    },
+    # the leader dies with slots in flight; the next leader merges the votes'
+    # shards, and node 0 catches up after its restart
+    "takeover": {
+        "n": 5, "protocol": "crossword", "seed": 11,
+        "links": {"delay_ms": 1.0, "bandwidth_gbps": 1.0},
+        "workload": {
+            "clients": 2, "duration_ms": 1500, "put_ratio": 0.9, "value_mean_bytes": 6000,
+            "key_count": 8, "retry_ms": 100,
+        },
+        "faults": [
+            {"at_ms": 400, "kind": "crash", "node": 0},
+            {"at_ms": 1000, "kind": "restart", "node": 0},
+        ],
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SHARED_VALUE_RUNS))
+def test_shared_values_simulate_exactly_the_gf_decode(monkeypatch, name):
+    """A follower that holds d shards this process cut takes the payload
+    they came from instead of decoding. The run is the same as one that
+    decodes every slot, and every GF product computed is a leader's encode
+    or a parity shard coded for a reconstruction read: none is a decode."""
+    sc = parse_scenario(_SHARED_VALUE_RUNS[name], f"<{name}>")
+    encodes, products = _count_encodes(monkeypatch), _count_gf_products(monkeypatch)
+    parity_reads = []
+    inner = replica_mod.encode_shard
+
+    def encode_shard(payload, scheme, index):
+        parity_reads.append(index >= scheme.d)
+        return inner(payload, scheme, index)
+
+    monkeypatch.setattr(replica_mod, "encode_shard", encode_shard)
+    shared = run_scenario(sc, drain_ms=300.0)
+    assert check_conservation(shared) == []
+    coding = len(encodes) + sum(parity_reads)
+    assert encodes and len(products) == coding
+    if name == "c=1":
+        assert not any(parity_reads)  # every product is a leader's encode
+
+    monkeypatch.setattr(replica_mod, "source_of", lambda *a: None)
+    products.clear()
+    encodes.clear()
+    parity_reads.clear()
+    decoded = run_scenario(sc, drain_ms=300.0)
+    assert len(products) > len(encodes) + sum(parity_reads) == coding  # the decodes ran
+    assert _fingerprint(shared) == _fingerprint(decoded)
+    assert any(t[0] == "promote" for t in shared.traces)
+    if name == "takeover":
+        assert sum(t[0] == "leader" for t in shared.traces) >= 2
